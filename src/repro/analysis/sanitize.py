@@ -205,9 +205,11 @@ class SimSanitizer:
         self.energy_window_checks = 0
         self._energy_floor = {}
         queue = sim._queue
-        # Unbound originals, so the shadows can delegate.
-        self._queue_push = EventQueue.push.__get__(queue)
-        self._queue_recycle = EventQueue.recycle.__get__(queue)
+        # The class implementations, so the shadows delegate to the very
+        # push the unsanitized kernel runs.
+        self._push = EventQueue.schedule.__get__(sim)
+        self._push_at = type(sim).schedule_at.__get__(sim)
+        self._free = queue._free
         # Instance-dict shadows (the TraceRecorder pattern): the class
         # methods stay untouched for every other simulator.
         sim.run_until = self._run_until
@@ -219,18 +221,20 @@ class SimSanitizer:
     # -- scheduling ----------------------------------------------------- #
 
     def _schedule(self, delay, fn, *args) -> EventHandle:
-        sim = self.sim
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
-        self.handles_issued += 1
-        return EventHandle(self._queue_push(sim.now + int(delay), fn, args))
+        free = self._free
+        reused = free[-1] if free else None  # the push pops this one
+        return self._handle_for(self._push(delay, fn, *args), reused)
 
     def _schedule_at(self, time, fn, *args) -> EventHandle:
-        sim = self.sim
-        if time < sim.now:
-            raise ValueError(f"cannot schedule at {time} < now={sim.now}")
+        free = self._free
+        reused = free[-1] if free else None
+        return self._handle_for(self._push_at(time, fn, *args), reused)
+
+    def _handle_for(self, ev: Event, reused) -> EventHandle:
+        if ev is reused:
+            ev.gen += 1  # a new incarnation: stale handles become detectable
         self.handles_issued += 1
-        return EventHandle(self._queue_push(int(time), fn, args))
+        return EventHandle(ev)
 
     # -- freelist ------------------------------------------------------- #
 

@@ -66,10 +66,10 @@ class AppWorkerThread(SimThread):
         self._serving: Optional[Request] = None
 
     def next_work(self) -> Optional[Work]:
-        packet = self.socket.pop()
-        if packet is None:
+        packets = self.socket.packets
+        if not packets:
             return None
-        request = packet.request
+        request = packets.popleft().request
         now = self.scheduler.sim.now
         if request.delivered_ns is None:
             request.delivered_ns = now
@@ -89,8 +89,6 @@ class AppWorkerThread(SimThread):
         return work
 
     def _serve_done(self, work: Work) -> None:
-        self._respond(self._serving)
-
-    def _respond(self, request: Request) -> None:
+        """Service finished: send the response."""
         self.requests_served += 1
-        self.stack.send_response(request, self.core_id)
+        self.stack.send_response(self._serving, self.core_id)

@@ -6,7 +6,9 @@ service times. SLO: P99 <= 1 ms (Sec. 3.1).
 
 from __future__ import annotations
 
-from repro.apps.base import ServerApplication, lognormal_cycles
+from math import exp, log
+
+from repro.apps.base import ServerApplication
 from repro.units import MS
 from repro.workload.request import Request
 
@@ -30,6 +32,14 @@ class MemcachedApp(ServerApplication):
         self.get_mean_cycles = get_mean_cycles
         self.set_mean_cycles = set_mean_cycles
         self.sigma = sigma
+        # Per request kind: (kind, mean cycles, lognormal_cycles' location
+        # parameter hoisted out of the per-request draw, request size).
+        get_mu = set_mu = 0.0  # unused when sigma <= 0
+        if sigma > 0:
+            get_mu = log(get_mean_cycles) - sigma * sigma / 2.0
+            set_mu = log(set_mean_cycles) - sigma * sigma / 2.0
+        self._get = ("get", get_mean_cycles, get_mu, 96)
+        self._set = ("set", set_mean_cycles, set_mu, 256)
 
     def mean_service_cycles(self) -> float:
         """Expected service cycles across the GET/SET mix."""
@@ -37,13 +47,10 @@ class MemcachedApp(ServerApplication):
                 + (1 - self.get_fraction) * self.set_mean_cycles)
 
     def make_request(self, flow_id: int, created_ns: int) -> Request:
-        if self.rng.random() < self.get_fraction:
-            kind, mean = "get", self.get_mean_cycles
-            size = 96
-        else:
-            kind, mean = "set", self.set_mean_cycles
-            size = 256
-        cycles = lognormal_cycles(self.rng, mean, self.sigma)
-        return Request(flow_id, created_ns, kind=kind, size_bytes=size,
-                       service_cycles=cycles, response_bytes=256,
-                       acked_response=False)
+        # lognormal_cycles, inlined: same draws in the same order.
+        rng = self.rng
+        kind, mean, mu, size = (self._get if rng.random() < self.get_fraction
+                                else self._set)
+        sigma = self.sigma
+        cycles = exp(rng.gauss(mu, sigma)) if sigma > 0 else mean
+        return Request(flow_id, created_ns, kind, size, cycles, 256, False)

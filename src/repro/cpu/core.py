@@ -218,13 +218,28 @@ class Core:
     # ------------------------------------------------------------------ #
 
     def submit(self, work: Work) -> None:
-        """Enqueue work; preempts lower-priority work and wakes idle cores."""
-        if self._current is not None and work.priority < self._current.priority:
+        """Enqueue work; preempts lower-priority work and wakes idle cores.
+
+        Work that finds the core free (nothing running, waking or
+        queued) and in CC0 starts right here; so does work that preempts,
+        since it then outranks everything queued.
+        """
+        current = self._current
+        if current is not None:
+            if work.priority >= current.priority:
+                self._pending[work.priority].append(work)
+                self._pending_n += 1
+                return
             self._preempt_current()
-        self._pending[work.priority].append(work)
-        self._pending_n += 1
-        if self._current is None and not self._waking:
-            self._wake_and_start()
+        elif self._waking or self._pending_n or self.cstate.index:
+            self._pending[work.priority].append(work)
+            self._pending_n += 1
+            if not self._waking:
+                self._wake_and_start()
+            return
+        elif self._idle_start_ns is not None:
+            self._end_idle_accounting()
+        self._start(work)
 
     def pause(self, work: Work) -> bool:
         """Remove ``work`` from the core (running or queued).
@@ -269,15 +284,8 @@ class Core:
 
     def _cancel_completion(self) -> None:
         if self._completion_ev is not None:
-            self.sim.cancel(self._completion_ev)
+            self._completion_ev.cancel()
             self._completion_ev = None
-
-    def _next_pending(self) -> Optional[Work]:
-        for queue in self._pending:
-            if queue:
-                self._pending_n -= 1
-                return queue.popleft()
-        return None
 
     def _wake_and_start(self) -> None:
         """Transition out of idle (paying wake latency) and run next work."""
@@ -294,7 +302,8 @@ class Core:
             self._set_busy(True)
             self._wake_ev = self.sim.schedule(latency, self._wake_done)
             return
-        self._end_idle_accounting()
+        if self._idle_start_ns is not None:
+            self._end_idle_accounting()
         self._start_next()
 
     def _end_idle_accounting(self) -> None:
@@ -303,10 +312,10 @@ class Core:
         idle_dur = self.sim.now - self._idle_start_ns
         self._idle_start_ns = None
         if self._reselect_ev is not None:
-            self.sim.cancel(self._reselect_ev)
+            self._reselect_ev.cancel()
             self._reselect_ev = None
         if self._deep_entry_ev is not None:
-            self.sim.cancel(self._deep_entry_ev)
+            self._deep_entry_ev.cancel()
             self._deep_entry_ev = None
         self._account()
         if self.cstate.index != 0:
@@ -324,10 +333,16 @@ class Core:
         self._start_next()
 
     def _start_next(self) -> None:
-        work = self._next_pending()
-        if work is None:
-            self._go_idle()
-            return
+        """Start the oldest work of the highest pending priority, or idle."""
+        for queue in self._pending:
+            if queue:
+                self._pending_n -= 1
+                self._start(queue.popleft())
+                return
+        self._go_idle()
+
+    def _start(self, work: Work) -> None:
+        """Run ``work`` from now at the current clock."""
         self._current = work
         sim = self.sim
         self._run_start_ns = sim.now
@@ -338,7 +353,7 @@ class Core:
         if cycles <= 0:
             duration = 0
         else:
-            duration = int(round(cycles * S / self._freq_hz))
+            duration = round(cycles * S / self._freq_hz)
             if duration < 1:
                 duration = 1
         self._completion_ev = sim.schedule(duration, self._complete)
@@ -352,7 +367,12 @@ class Core:
         if work.on_complete is not None:
             work.on_complete(work)
         if self._current is None and not self._waking:
-            self._wake_and_start()
+            if not self._pending_n:
+                self._go_idle()
+            elif self._idle_start_ns is None:
+                self._start_next()  # still in CC0: no wake to pay
+            else:
+                self._wake_and_start()
 
     def _go_idle(self) -> None:
         if self._idle_start_ns is not None:

@@ -56,6 +56,10 @@ class CStateTable:
             if i > 0 and st.exit_latency_ns < states[i - 1].exit_latency_ns:
                 raise ValueError("exit latency must not decrease with depth")
         self._states = list(states)
+        #: The shallowest (running) and deepest states: plain attributes,
+        #: read on every idle entry/exit and power update.
+        self.cc0: CState = self._states[0]
+        self.deepest: CState = self._states[-1]
         #: Worst-case time to re-touch all flushed cache lines after CC6.
         self.cache_refill_penalty_ns = int(cache_refill_penalty_ns)
 
@@ -86,14 +90,6 @@ class CStateTable:
 
     def __getitem__(self, index: int) -> CState:
         return self._states[index]
-
-    @property
-    def cc0(self) -> CState:
-        return self._states[0]
-
-    @property
-    def deepest(self) -> CState:
-        return self._states[-1]
 
     def by_name(self, name: str) -> CState:
         """Look a state up by name (raises KeyError if absent)."""

@@ -56,18 +56,22 @@ def grab_burst(queue, free_acks: list, budget: int,
     ``cycles`` excludes any fixed per-poll overhead (caller adds it).
     """
     cycles = 0.0
-    n = 0
-    while n < budget and queue.pop_txc() is not None:
-        n += 1
+    txc = queue.txc
+    n = len(txc)
+    if n > budget:
+        n = budget
+        for _ in range(n):
+            txc.popleft()
+    elif n:
+        txc.clear()
     cycles += n * txc_cycles
-    pop_rx = queue.pop_rx
+    rx = queue.rx
+    pop_rx = rx.popleft
     data_packets: list = []
     append = data_packets.append
     n_rx = 0
-    while n < budget:
+    while n < budget and rx:
         pkt = pop_rx()
-        if pkt is None:
-            break
         n += 1
         n_rx += 1
         if pkt.kind == "ack":

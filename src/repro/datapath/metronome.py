@@ -150,7 +150,7 @@ class MetronomeThread(SimThread):
                 label=f"metronome.burst.c{self.core.core_id}")
         else:
             work.cycles_total = work.cycles_remaining = cycles
-            # The thread wrapper overwrote on_complete on the last lap.
+            # The scheduler took the completion slot on the last lap.
             work.on_complete = self._batch_done
         self._pending_deliver = deliver
         self._pending_n_rx = n_rx

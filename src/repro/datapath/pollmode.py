@@ -74,7 +74,7 @@ class PollThread(SimThread):
         cycles = 0.0
         for qid in self.queue_ids:
             queue = nic.queues[qid]
-            if not queue.has_work:
+            if not (queue.rx or queue.txc):
                 continue
             data, q_rx, q_items, q_cycles = grab_burst(
                 queue, nic.free_acks, be.burst_size,
@@ -107,7 +107,7 @@ class PollThread(SimThread):
                     label=f"pollrx.spin.c{self.core.core_id}")
             else:
                 work.cycles_total = work.cycles_remaining = spin_cycles
-                # The thread wrapper overwrote on_complete on the last lap.
+                # The scheduler took the completion slot on the last lap.
                 work.on_complete = None
             self._spin_inflight = work
             self.spins += 1

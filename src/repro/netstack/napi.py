@@ -100,10 +100,11 @@ class NapiContext:
         self._hardirq_work: Optional[Work] = None
         self._softirq_work: Optional[Work] = None
         self._deferred_work: Optional[Work] = None
-        self._softirq_rx: list = []
-        self._softirq_n = 0
-        self._deferred_rx: list = []
-        self._deferred_n = 0
+        # The in-flight poll batch: its deliverable packets and its Rx
+        # item count. One batch is in flight at a time (softirq and
+        # ksoftirqd polling never overlap), so one slot serves both.
+        self._batch_rx: list = []
+        self._batch_n = 0
 
         # Lifetime counters.
         self.irq_count = 0
@@ -170,21 +171,25 @@ class NapiContext:
         queue = self.nic.queues[self.queue_id]
         budget = cfg.poll_budget
         cycles = cfg.poll_overhead_cycles
-        n = 0
-        while n < budget and queue.pop_txc() is not None:
-            n += 1
+        txc = queue.txc
+        n = len(txc)
+        if n > budget:
+            n = budget
+            for _ in range(n):
+                txc.popleft()
+        elif n:
+            txc.clear()
         cycles += n * cfg.txc_cycles_per_packet
         ack_cycles = cfg.ack_cycles_per_packet
         rx_cycles = cfg.rx_cycles_per_packet
         free_acks = self.nic.free_acks
-        pop_rx = queue.pop_rx
+        rx = queue.rx
+        pop_rx = rx.popleft
         data_packets = []
         append = data_packets.append
         n_rx = 0
-        while n < budget:
+        while n < budget and rx:
             pkt = pop_rx()
-            if pkt is None:
-                break
             n += 1
             n_rx += 1
             if pkt.kind == "ack":
@@ -214,22 +219,20 @@ class NapiContext:
         work = self._softirq_work
         if work is None:
             self._softirq_work = work = Work(
-                cycles, PRIORITY_SOFTIRQ, on_complete=self._softirq_done,
+                cycles, PRIORITY_SOFTIRQ, on_complete=self._poll_done,
                 label=f"napi.q{self.queue_id}")
         else:
             work.cycles_total = work.cycles_remaining = cycles
-        self._softirq_rx = rx_packets
-        self._softirq_n = n_rx
+        self._batch_rx = rx_packets
+        self._batch_n = n_rx
         self.core.submit(work)
-
-    def _softirq_done(self, work: Work) -> None:
-        self._poll_done(self._softirq_rx, self._softirq_n)
 
     def make_deferred_work(self) -> Optional[Work]:
         """Next poll batch as TASK work, for ksoftirqd. None when drained."""
         if self.state != STATE_KSOFTIRQD:
             return None
-        if not self.nic.queues[self.queue_id].has_work:
+        queue = self.nic.queues[self.queue_id]
+        if not (queue.rx or queue.txc):
             self._finish_session()
             return None
         rx_packets, n_rx, cycles = self._grab_batch()
@@ -238,43 +241,44 @@ class NapiContext:
         work = self._deferred_work
         if work is None:
             self._deferred_work = work = Work(
-                cycles, PRIORITY_TASK, on_complete=self._deferred_done,
+                cycles, PRIORITY_TASK, on_complete=self._poll_done,
                 label=f"ksoftirqd.q{self.queue_id}")
         else:
             work.cycles_total = work.cycles_remaining = cycles
-            # The thread wrapper overwrote on_complete on the last lap.
-            work.on_complete = self._deferred_done
-        self._deferred_rx = rx_packets
-        self._deferred_n = n_rx
+            # The scheduler took the completion slot on the last lap.
+            work.on_complete = self._poll_done
+        self._batch_rx = rx_packets
+        self._batch_n = n_rx
         return work
 
-    def _deferred_done(self, work: Work) -> None:
-        self._poll_done(self._deferred_rx, self._deferred_n)
-
-    def _poll_done(self, rx_packets: list, n: int) -> None:
-        """Account one finished poll batch; ``n`` counts all Rx items
-        (data + consumed ACKs), ``rx_packets`` the deliverable ones."""
-        mode = (MODE_INTERRUPT if self._next_poll_is_interrupt_mode
-                else MODE_POLLING)
-        self._next_poll_is_interrupt_mode = False
-        self.poll_count += 1
-        if mode == MODE_INTERRUPT:
+    def _poll_done(self, work: Work) -> None:
+        """Completion of a poll batch, softirq or ksoftirqd: account it
+        (every Rx item, data + consumed ACKs, counts toward the mode),
+        deliver its data packets, then poll on, defer, or end the
+        session."""
+        rx_packets = self._batch_rx
+        n = self._batch_n
+        if self._next_poll_is_interrupt_mode:
+            self._next_poll_is_interrupt_mode = False
+            mode = MODE_INTERRUPT
             self.pkts_interrupt_mode += n
         else:
+            mode = MODE_POLLING
             self.pkts_polling_mode += n
+        self.poll_count += 1
         self._session_packets += n
-        if self.deliver is not None:
+        deliver = self.deliver
+        if deliver is not None:
             core_id = self.core.core_id
             for pkt in rx_packets:
-                self.deliver(pkt, core_id)
+                deliver(pkt, core_id)
         for listener in self.poll_listeners:
             listener(self, n, mode)
-        self._after_poll()
-
-    def _after_poll(self) -> None:
         queue = self.nic.queues[self.queue_id]
-        if not queue.has_work:
-            self._finish_session()
+        if not (queue.rx or queue.txc):
+            # _finish_session, inlined: most sessions end here.
+            self.state = STATE_IRQ
+            self.nic.enable_irq(self.queue_id)
             return
         if self.state == STATE_SOFTIRQ:
             cfg = self.config
@@ -288,6 +292,11 @@ class NapiContext:
                 self._submit_softirq_poll()
         # In STATE_KSOFTIRQD the thread pulls the next batch itself.
 
+    def _finish_session(self) -> None:
+        """Session over: back to interrupts."""
+        self.state = STATE_IRQ
+        self.nic.enable_irq(self.queue_id)
+
     def _defer_to_ksoftirqd(self) -> None:
         if self.ksoftirqd is None:
             # No ksoftirqd wired (unit tests): keep polling in softirq.
@@ -296,7 +305,3 @@ class NapiContext:
         self.state = STATE_KSOFTIRQD
         self.deferrals += 1
         self.ksoftirqd.wake()
-
-    def _finish_session(self) -> None:
-        self.state = STATE_IRQ
-        self.nic.enable_irq(self.queue_id)

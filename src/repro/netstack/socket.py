@@ -22,7 +22,8 @@ class SocketQueue:
             raise ValueError("capacity must be positive")
         self.core_id = core_id
         self.capacity = capacity
-        self._queue: Deque[Packet] = deque()
+        #: The FIFO itself; the consumer pops it directly.
+        self.packets: Deque[Packet] = deque()
         #: The application thread to wake on delivery (set by the app).
         self.consumer = None
         self.delivered = 0
@@ -30,25 +31,23 @@ class SocketQueue:
         self.max_depth = 0
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return len(self.packets)
 
     def deliver(self, packet: Packet) -> bool:
         """Softirq-side enqueue; wakes the consumer. False if dropped."""
-        if len(self._queue) >= self.capacity:
+        packets = self.packets
+        depth = len(packets)
+        if depth >= self.capacity:
             self.dropped += 1
             return False
-        self._queue.append(packet)
+        packets.append(packet)
         self.delivered += 1
-        if len(self._queue) > self.max_depth:
-            self.max_depth = len(self._queue)
+        if depth >= self.max_depth:
+            self.max_depth = depth + 1
         if self.consumer is not None:
             self.consumer.wake()
         return True
 
-    def pop(self) -> Optional[Packet]:
-        """Application-side dequeue, or None when empty."""
-        return self._queue.popleft() if self._queue else None
-
     def peek_newest(self) -> Optional[Packet]:
         """The most recently delivered packet, without dequeueing."""
-        return self._queue[-1] if self._queue else None
+        return self.packets[-1] if self.packets else None

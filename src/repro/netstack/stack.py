@@ -17,7 +17,7 @@ from repro.netstack.ksoftirqd import KsoftirqdThread
 from repro.netstack.napi import NapiConfig, NapiContext
 from repro.netstack.socket import SocketQueue
 from repro.nic.nic import MultiQueueNic
-from repro.nic.packet import Packet, TxCompletion
+from repro.nic.packet import Packet
 from repro.osched.scheduler import CoreScheduler
 from repro.units import MS
 
@@ -121,22 +121,22 @@ class NetworkStack:
         (``request.acked_response``) — draws one inbound ACK per segment
         after a round trip, which the softirq must also process.
         """
-        if self.response_sink is None:
+        sink = self._response_sink
+        if sink is None:
             raise RuntimeError("response_sink not wired")
+        now = self.sim.now
         if self.tracing and request.trace is not None:
-            request.trace.tx_ns = self.sim.now
-        n_segments = max(1, -(-int(request.response_bytes)
-                              // self.config.mss_bytes))
-        last_size = (int(request.response_bytes)
-                     - (n_segments - 1) * self.config.mss_bytes)
-        packet = Packet(flow_id=request.flow_id,
-                        size_bytes=max(64, last_size),
-                        created_ns=self.sim.now, request=request)
-        # Extra segments: Tx completions only (payload carried by `packet`).
-        for _ in range(n_segments - 1):
-            self.nic.queues[core_id].push_txc(TxCompletion(packet.packet_id))
-        self.nic.transmit(packet, core_id, self.response_sink,
-                          sink_at=self.response_sink_at)
+            request.trace.tx_ns = now
+        mss = self.config.mss_bytes
+        response_bytes = int(request.response_bytes)
+        n_segments = -(-response_bytes // mss)
+        if n_segments < 1:
+            n_segments = 1
+        last_size = response_bytes - (n_segments - 1) * mss
+        packet = Packet(request.flow_id, last_size if last_size > 64 else 64,
+                        now, request)
+        self.nic.transmit(packet, core_id, sink, self.response_sink_at,
+                          n_segments)
         if request.acked_response:
             rtt = 2 * self.nic.wire_latency_ns
             if self.config.batch_acks and n_segments > 1:

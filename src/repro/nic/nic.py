@@ -10,6 +10,8 @@ from repro.nic.queue import NicQueue
 from repro.nic.rss import RssDistributor
 from repro.units import US
 
+KIND_DATA = Packet.KIND_DATA
+
 
 class MultiQueueNic:
     """A multi-queue NIC with RSS steering and per-queue moderation.
@@ -116,10 +118,14 @@ class MultiQueueNic:
         the queue.
         """
         queue = self.queues[qid]
-        if not queue.push_rx(packet):
+        rx = queue.rx
+        if len(rx) >= queue.rx_capacity:
+            queue.rx_dropped += 1
             return False
+        rx.append(packet)
+        queue.rx_enqueued += 1
         self.rx_packets += 1
-        if packet.kind == Packet.KIND_DATA and packet.request is not None:
+        if packet.kind == KIND_DATA and packet.request is not None:
             self.rx_data_packets += 1
             if self.tracing:
                 ctx = packet.request.trace
@@ -141,15 +147,18 @@ class MultiQueueNic:
             return
         if self._irq_pending_ev[qid] is not None:
             return
-        if not self.queues[qid].has_work:
+        queue = self.queues[qid]
+        if not (queue.rx or queue.txc):
             return
-        fire_at = self.moderators[qid].next_fire_time(self.sim.now)
-        self._irq_pending_ev[qid] = self.sim.schedule_at(
-            fire_at, self._fire_irq, qid)
+        now = self.sim.now
+        fire_at = self.moderators[qid].next_fire_time(now)
+        self._irq_pending_ev[qid] = self.sim.schedule(
+            fire_at - now, self._fire_irq, qid)
 
     def _fire_irq(self, qid: int) -> None:
         self._irq_pending_ev[qid] = None
-        if not self._irq_enabled[qid] or not self.queues[qid].has_work:
+        queue = self.queues[qid]
+        if not self._irq_enabled[qid] or not (queue.rx or queue.txc):
             return
         self.moderators[qid].record_fire(self.sim.now)
         handler = self._handlers[qid]
@@ -169,13 +178,15 @@ class MultiQueueNic:
         self._irq_enabled[qid] = False
         ev = self._irq_pending_ev[qid]
         if ev is not None:
-            self.sim.cancel(ev)
+            ev.cancel()
             self._irq_pending_ev[qid] = None
 
     def enable_irq(self, qid: int) -> None:
         """Unmask the queue's interrupt; re-arms if work is pending."""
         self._irq_enabled[qid] = True
-        self._maybe_raise_irq(qid)
+        queue = self.queues[qid]
+        if (queue.rx or queue.txc) and self._irq_pending_ev[qid] is None:
+            self._maybe_raise_irq(qid)
 
     # ------------------------------------------------------------------ #
     # Tx path
@@ -183,17 +194,27 @@ class MultiQueueNic:
 
     def transmit(self, packet: Packet, qid: int,
                  sink: Callable[[Packet], None],
-                 sink_at: Optional[Callable[[Packet, int], None]] = None) -> None:
-        """Send a packet: wire delay to ``sink``, completion to the queue.
+                 sink_at: Optional[Callable[[Packet, int], None]] = None,
+                 segments: int = 1) -> None:
+        """Send a packet: wire delay to ``sink``, completions to the queue.
 
         When the receiver is purely passive (the open-loop client only
         records the delivery), ``sink_at`` lets it be notified
         synchronously with the future delivery timestamp — no wire-delay
-        event per response enters the heap.
+        event per response enters the heap. A response segmented at the
+        MSS leaves one Tx completion per segment; ``packet`` carries the
+        whole payload.
         """
         self.tx_packets += 1
-        self.queues[qid].push_txc(TxCompletion(packet.packet_id))
-        self._maybe_raise_irq(qid)
+        queue = self.queues[qid]
+        txc = queue.txc
+        txc.append(TxCompletion(packet.packet_id))
+        if segments > 1:
+            for _ in range(segments - 1):
+                txc.append(TxCompletion(packet.packet_id))
+        queue.txc_enqueued += segments
+        if self._irq_enabled[qid] and self._irq_pending_ev[qid] is None:
+            self._maybe_raise_irq(qid)
         if sink_at is not None:
             sink_at(packet, self.sim.now + self.wire_latency_ns)
         else:

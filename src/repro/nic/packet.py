@@ -33,7 +33,7 @@ class Packet:
                  request=None, kind: str = KIND_DATA):
         if size_bytes <= 0:
             raise ValueError("packet size must be positive")
-        if kind not in (self.KIND_DATA, self.KIND_ACK):
+        if kind not in _KINDS:
             raise ValueError(f"unknown packet kind {kind!r}")
         self.packet_id = next(_packet_ids)
         self.flow_id = flow_id
@@ -44,6 +44,9 @@ class Packet:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Packet {self.packet_id} flow={self.flow_id} {self.size_bytes}B>"
+
+
+_KINDS = (Packet.KIND_DATA, Packet.KIND_ACK)
 
 
 class TxCompletion:

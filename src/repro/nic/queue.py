@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
 
 from repro.nic.packet import Packet, TxCompletion
 
@@ -11,8 +11,11 @@ from repro.nic.packet import Packet, TxCompletion
 class NicQueue:
     """One hardware queue: a bounded Rx ring plus a Tx-completion ring.
 
-    The Rx ring drops packets when full (tail drop), as real NICs do under
-    sustained overload; drops are counted for diagnostics.
+    The rings are plain deques. :class:`~repro.nic.nic.MultiQueueNic`
+    owns the push rules: the Rx ring drops packets when full (tail drop),
+    as real NICs do under sustained overload, and drops are counted for
+    diagnostics; the Tx-completion ring is unbounded. Pollers pop the
+    deques directly.
     """
 
     def __init__(self, queue_id: int, rx_capacity: int = 1024):
@@ -25,34 +28,3 @@ class NicQueue:
         self.rx_enqueued = 0
         self.rx_dropped = 0
         self.txc_enqueued = 0
-
-    @property
-    def has_work(self) -> bool:
-        """True when the poll loop would find anything to process."""
-        return bool(self.rx) or bool(self.txc)
-
-    @property
-    def rx_depth(self) -> int:
-        return len(self.rx)
-
-    def push_rx(self, packet: Packet) -> bool:
-        """Enqueue an Rx packet; returns False (and drops) when full."""
-        if len(self.rx) >= self.rx_capacity:
-            self.rx_dropped += 1
-            return False
-        self.rx.append(packet)
-        self.rx_enqueued += 1
-        return True
-
-    def pop_rx(self) -> Optional[Packet]:
-        """Dequeue the oldest Rx packet, or None."""
-        return self.rx.popleft() if self.rx else None
-
-    def push_txc(self, completion: TxCompletion) -> None:
-        """Enqueue a Tx-completion descriptor (unbounded)."""
-        self.txc.append(completion)
-        self.txc_enqueued += 1
-
-    def pop_txc(self) -> Optional[TxCompletion]:
-        """Dequeue the oldest Tx completion, or None."""
-        return self.txc.popleft() if self.txc else None

@@ -37,4 +37,8 @@ class RssDistributor:
         """Queue index for a flow id (stable per flow)."""
         if self.mode == "round-robin":
             return flow_id % self.n_queues
-        return _mix(flow_id) % self.n_queues
+        # _mix, inlined: every arriving request packet hashes here.
+        value = (flow_id + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        return (value ^ (value >> 31)) % self.n_queues

@@ -65,21 +65,39 @@ class CoreScheduler:
             delay = ts - (self.sim.now - self._slice_start) % ts
             self._slice_ev = self.sim.schedule(delay, self._slice_expired)
 
-    def _dispatch(self) -> None:
-        while self.runnable:
-            thread = self.runnable.popleft()
-            work = thread.take_work()
-            if work is None:
-                thread.state = SLEEPING
-                thread.notify_sleep()
-                continue
+    def _dispatch(self, thread: Optional[SimThread] = None) -> None:
+        """Hand the core's task slot to the first runnable thread with work.
+
+        ``thread``, a runnable thread the caller did not queue, is tried
+        first: the sole thread of an uncontended core skips the run
+        queue. Threads without work go to sleep.
+        """
+        runnable = self.runnable
+        while thread is not None or runnable:
+            if thread is None:
+                thread = runnable.popleft()
+            work = thread._paused_work
+            if work is not None:
+                thread._paused_work = None
+            else:
+                work = thread.next_work()
+                if work is None:
+                    thread.state = SLEEPING
+                    thread.notify_sleep()
+                    thread = None
+                    continue
+                # Take the chunk's completion slot; _work_done calls the
+                # thread's own callback before re-queueing the thread.
+                thread._pre_complete = work.on_complete
+                work.on_complete = self._work_done
+                work.owner = thread
             if work.priority != PRIORITY_TASK:
                 raise ValueError("scheduler threads must produce TASK work")
             self.current = thread
             self._current_work = work
             thread.state = RUNNING
             self._slice_start = self.sim.now
-            if self.runnable:
+            if runnable:
                 self._slice_ev = self.sim.schedule(self.timeslice_ns,
                                                    self._slice_expired)
             self.core.submit(work)
@@ -87,18 +105,23 @@ class CoreScheduler:
         self.current = None
         self._current_work = None
 
-    def _work_done(self, thread: SimThread, work: Work, original) -> None:
-        """Called by the thread's wrapped completion callback."""
+    def _work_done(self, work: Work) -> None:
+        """Completion callback of every chunk this scheduler dispatched."""
+        thread = work.owner
         if self._slice_ev is not None:
-            self.sim.cancel(self._slice_ev)
+            self._slice_ev.cancel()
             self._slice_ev = None
         self.current = None
         self._current_work = None
+        original = thread._pre_complete
         if original is not None:
             original(work)
         # Round-robin: the thread re-queues at the tail; if it has no more
         # work the next dispatch puts it to sleep (emitting the sleep event).
         thread.state = RUNNABLE
+        if self.current is None and not self.runnable:
+            self._dispatch(thread)
+            return
         self.runnable.append(thread)
         if self.current is None:
             self._dispatch()

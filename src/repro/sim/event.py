@@ -7,6 +7,10 @@ heap and is discarded on pop, which keeps cancel O(1).
 
 Fast-path design (the simulator is the hot loop of every experiment):
 
+* One push implementation, :meth:`EventQueue.schedule`, serves both the
+  bare queue and :class:`~repro.sim.simulator.Simulator`, whose
+  ``schedule`` *is* this function: a push costs the caller a single
+  Python frame.
 * Heap entries are plain ``(time, seq, event)`` tuples, so heap sift
   compares run entirely in C — no Python-level ``__lt__`` calls.
   ``seq`` is unique, so comparison never reaches the event object.
@@ -42,10 +46,12 @@ class Event:
         seq: tie-breaker; preserves FIFO order among same-time events.
         fn: the callback; called with ``*args`` when the event fires.
         cancelled: set by :meth:`cancel`; cancelled events never fire.
-        gen: incarnation counter — bumped each time the object is reused
-            from the freelist, so a retained stale handle is detectable
+        gen: incarnation counter — the sanitizer's sanitized
+            ``schedule`` bumps it each time it reuses the object from the
+            freelist, so a retained stale handle is detectable
             (``repro.analysis.sanitize`` validates it against the
-            generation captured at schedule time).
+            generation captured at schedule time). The unsanitized kernel
+            never touches it.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "gen", "_queue")
@@ -86,7 +92,14 @@ class Event:
 
 
 class EventQueue:
-    """Min-heap of :class:`Event` ordered by (time, seq)."""
+    """Min-heap of :class:`Event` ordered by (time, seq).
+
+    Pushes count from ``now``. A bare queue's clock never moves, so on
+    a bare queue a relative push is an absolute one.
+    """
+
+    #: The clock relative pushes count from (the simulator has its own).
+    now = 0
 
     def __init__(self) -> None:
         self._heap: List[Tuple[int, int, Event]] = []
@@ -94,25 +107,49 @@ class EventQueue:
         self._live = 0
         self._free: List[Event] = []
         # Lifetime perf counters (see repro.sim.perf). scheduled_total is
-        # the seq counter itself (every push consumes exactly one seq).
+        # the seq counter itself (every push consumes exactly one seq);
+        # recycled_total is the pushes that did not allocate.
         self.cancelled_total = 0
-        self.recycled_total = 0
+        #: Events ever allocated (pushes that found the freelist empty).
+        #: Every freelisted event was allocated, and an event being
+        #: recycled is not on the freelist, so at a recycle
+        #: ``len(_free) < _allocated``: while ``_allocated`` is at most
+        #: ``_FREELIST_MAX`` the cap cannot bind, and the run loop skips
+        #: measuring it.
+        self._allocated = 0
         self.heap_peak = 0
+        #: The queue :meth:`schedule` pushes onto. The simulator borrows
+        #: that method, so on a simulator this names its event queue.
+        self._queue = self
 
     @property
     def scheduled_total(self) -> int:
         """Lifetime number of events pushed."""
         return self._seq
 
+    @property
+    def recycled_total(self) -> int:
+        """Lifetime number of pushes served from the freelist."""
+        return self._seq - self._allocated
+
     def __len__(self) -> int:
         """Number of *live* (non-cancelled) events."""
         return self._live
 
-    def push(self, time: int, fn: Callable[..., Any], args: tuple = ()) -> Event:
-        """Schedule ``fn(*args)`` at absolute time ``time`` and return the event."""
-        seq = self._seq
-        self._seq = seq + 1
-        free = self._free
+    def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
+        """Schedule ``fn(*args)`` to fire ``delay`` ns after ``self.now``.
+
+        The one push implementation. ``Simulator.schedule`` is this
+        function: there ``self`` is the simulator, ``self.now`` its clock
+        and ``self._queue`` its queue, so the hot path runs in one frame.
+        """
+        if delay < 0:
+            raise ValueError(f"cannot schedule in the past (delay={delay})")
+        queue = self._queue
+        time = self.now + int(delay)
+        seq = queue._seq
+        queue._seq = seq + 1
+        free = queue._free
         if free:
             ev = free.pop()
             ev.time = time
@@ -120,22 +157,20 @@ class EventQueue:
             ev.fn = fn
             ev.args = args
             ev.cancelled = False
-            ev.gen += 1  # new incarnation: stale handles become detectable
-            ev._queue = self
-            self.recycled_total += 1
         else:
             ev = Event(time, seq, fn, args)
-            ev._queue = self
-        self._live += 1
-        heap = self._heap
+            queue._allocated += 1
+        ev._queue = queue
+        queue._live += 1
+        heap = queue._heap
         _heappush(heap, (time, seq, ev))
         n = len(heap)
-        if n > self.heap_peak:
-            self.heap_peak = n
+        if n > queue.heap_peak:
+            queue.heap_peak = n
         return ev
 
     def cancel(self, ev: Event) -> None:
-        """Cancel an event previously returned by :meth:`push`."""
+        """Cancel an event previously returned by :meth:`schedule`."""
         ev.cancel()
 
     def peek_time(self) -> Optional[int]:

@@ -8,7 +8,7 @@ derives the two figures of merit: events/sec and the cancel ratio.
 
 Counter semantics:
 
-* ``events_scheduled`` — pushes into the queue (``schedule``/``push``).
+* ``events_scheduled`` — pushes into the queue (``schedule``/``schedule_at``).
 * ``events_fired`` — callbacks actually executed.
 * ``events_cancelled`` — events cancelled before firing (lazy-deleted).
 * ``events_recycled`` — fired/dropped events returned through the

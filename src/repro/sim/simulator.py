@@ -51,17 +51,17 @@ class Simulator:
         """Number of live events still scheduled."""
         return len(self._queue)
 
-    def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` to run ``delay`` ns from now."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
-        return self._queue.push(self.now + int(delay), fn, args)
+    #: Schedule ``fn(*args)`` to run ``delay`` ns from now: the queue's
+    #: one push implementation, run on this simulator's clock and queue.
+    schedule = EventQueue.schedule
 
     def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute time ``time`` (ns)."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} < now={self.now}")
-        return self._queue.push(int(time), fn, args)
+        # The class function, not ``self.schedule``: a sanitizer's
+        # instance-dict shadow must see one push, not two.
+        return EventQueue.schedule(self, int(time) - self.now, fn, *args)
 
     def cancel(self, ev: Event) -> None:
         """Cancel a previously scheduled event."""
@@ -87,7 +87,10 @@ class Simulator:
         as two extra call frames per event. Semantics match
         ``pop_due`` + ``recycle`` exactly — see event.py for the refcount
         reuse guard being applied (here the safe count is 2: the local
-        binding plus getrefcount's argument).
+        binding plus getrefcount's argument). The freelist cap is the same
+        ``len(free) < _FREELIST_MAX``, measured only once the queue has
+        allocated more events than the cap: until then the freelist
+        cannot be full (see ``EventQueue._allocated``).
         """
         queue = self._queue
         heap = queue._heap
@@ -100,7 +103,9 @@ class Simulator:
             if ev.cancelled:
                 heappop(heap)
                 ev._queue = None
-                if refcount(ev) == 2 and len(free) < _FREELIST_MAX:
+                if refcount(ev) == 2 and (
+                        queue._allocated <= _FREELIST_MAX
+                        or len(free) < _FREELIST_MAX):
                     ev.fn = None
                     ev.args = ()
                     free.append(ev)
@@ -114,7 +119,8 @@ class Simulator:
             self.now = time
             processed += 1
             ev.fn(*ev.args)
-            if refcount(ev) == 2 and len(free) < _FREELIST_MAX:
+            if refcount(ev) == 2 and (queue._allocated <= _FREELIST_MAX
+                                      or len(free) < _FREELIST_MAX):
                 ev.fn = None
                 ev.args = ()
                 free.append(ev)

@@ -165,42 +165,57 @@ class OpenLoopClient:
         if self._next_idx >= len(self._arrival_list):
             self._armed = False
             return
-        t_arrive = self._arrival_list[self._next_idx] + self.wire_latency_ns
-        self.sim.schedule_at(max(t_arrive, self.sim.now), self._ring_doorbell)
+        delay = (self._arrival_list[self._next_idx] + self.wire_latency_ns
+                 - self.sim.now)
+        self.sim.schedule(delay if delay > 0 else 0, self._ring_doorbell)
         self._armed = True
 
     def _ring_doorbell(self) -> None:
-        """Deliver every arrival due at (or before) now, then re-arm."""
+        """Deliver every arrival due at (or before) now, then re-arm.
+
+        The per-request hot loop: builds each request and its packet the
+        way :meth:`_make_packet` does, with the lookups hoisted.
+        """
         arrivals = self._arrival_list
         now = self.sim.now
         wire = self.wire_latency_ns
-        i = self._next_idx
+        receive = self.nic.receive
+        make_request = self.request_factory
+        span_log = self.span_log
+        pattern = self._flow_pattern
+        n_flows = self.n_flows
+        retry = self.retry
+        counter = self._flow_counter
+        start = i = self._next_idx
         n = len(arrivals)
-        if self.retry is None:
-            while i < n:
-                t = arrivals[i]
-                if t + wire > now:
-                    break
-                i += 1
-                self._next_idx = i
-                self.sent += 1
-                if not self.nic.receive(self._make_packet(t)):
-                    self.dropped += 1
-        else:
-            while i < n:
-                t = arrivals[i]
-                if t + wire > now:
-                    break
-                i += 1
-                self._next_idx = i
-                self.sent += 1
-                packet = self._make_packet(t)
-                if not self.nic.receive(packet):
-                    self.dropped += 1
+        while i < n:
+            t = arrivals[i]
+            if t + wire > now:
+                break
+            i += 1
+            counter += 1
+            if pattern is not None:
+                flow_id = pattern[(counter - 1) % len(pattern)]
+            else:
+                flow_id = counter if n_flows is None else counter % n_flows
+            request = make_request(flow_id, t)
+            if span_log is not None and span_log.want(counter):
+                request.trace = TraceContext()
+            packet = Packet(request.flow_id, request.size_bytes, t, request)
+            if not receive(packet):
+                self.dropped += 1
+            if retry is not None:
                 # Armed regardless of NIC acceptance: a dropped packet
                 # is exactly what the timeout exists to recover.
-                self._arm_timeout(packet.request)
-        self._ring_next()
+                self._arm_timeout(request)
+        self._next_idx = i
+        self._flow_counter = counter
+        self.sent += i - start
+        if i < n:
+            delay = arrivals[i] + wire - now
+            self.sim.schedule(delay if delay > 0 else 0, self._ring_doorbell)
+        else:
+            self._armed = False
 
     def _make_packet(self, created_ns: int) -> Packet:
         self._flow_counter += 1

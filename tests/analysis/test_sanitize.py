@@ -51,7 +51,7 @@ def test_causality_violation_raises():
     sim = Simulator(sanitize=True)
     sim.run_until(50)
     # Bypass schedule()'s guard, as heap corruption would.
-    sim._queue.push(10, lambda: None, ())
+    sim._queue.schedule(10, lambda: None)
     with pytest.raises(SanitizerError, match="causality"):
         sim.run_until(100)
 
@@ -60,7 +60,7 @@ def test_unsanitized_kernel_tolerates_the_same_fault():
     """Documents why the check exists: the fast path never looks."""
     sim = Simulator()
     sim.run_until(50)
-    sim._queue.push(10, lambda: None, ())
+    sim._queue.schedule(10, lambda: None)
     sim.run_until(100)  # silently fires the past-time event
     assert sim.now == 100
 
@@ -76,7 +76,7 @@ def test_step_checks_causality():
     sim = Simulator(sanitize=True)
     sim.schedule(5, lambda: None)
     assert sim.step()
-    sim._queue.push(1, lambda: None, ())
+    sim._queue.schedule(1, lambda: None)
     with pytest.raises(SanitizerError, match="causality"):
         sim.step()
 
@@ -178,3 +178,43 @@ def test_sanitizer_counters_advance():
     sanitizer = sim.sanitizer
     assert sanitizer.handles_issued == 10
     assert sanitizer.events_checked == 10
+
+
+def _mc_napi_nmap_config(**overrides):
+    from repro.system import ServerConfig
+    params = dict(app="memcached", load_level="high", n_cores=8,
+                  freq_governor="nmap", datapath="napi", seed=42)
+    params.update(overrides)
+    return ServerConfig(**params)
+
+
+def test_every_push_goes_through_the_sanitized_schedule(monkeypatch):
+    """A fused hot path that pushed onto the heap without calling
+    ``sim.schedule``/``schedule_at`` would skip the causality and
+    generation checks: every scheduled event must come with a handle."""
+    from repro.system import ServerSystem
+    from repro.units import MS
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    system = ServerSystem(_mc_napi_nmap_config())
+    result = system.run(5 * MS)
+    assert result.perf.events_scheduled > 0
+    assert (system.sim.sanitizer.handles_issued
+            == result.perf.events_scheduled)
+
+
+def test_every_fleet_node_push_goes_through_the_sanitized_schedule(
+        monkeypatch):
+    from repro.cluster.config import FleetConfig
+    from repro.cluster.fleet import FleetSystem
+    from repro.system import ServerConfig
+    from repro.units import MS
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    node = ServerConfig(app="memcached", load_level="medium", n_cores=2,
+                        freq_governor="nmap")
+    fleet = FleetSystem(FleetConfig(node=node, n_nodes=2,
+                                    policy="power-aware", seed=42))
+    result = fleet.run(5 * MS, drain_ns=5 * MS)
+    for system, node_result in zip(fleet.nodes, result.node_results):
+        assert node_result.perf.events_scheduled > 0
+        assert (system.sim.sanitizer.handles_issued
+                == node_result.perf.events_scheduled)

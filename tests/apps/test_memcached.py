@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.apps.base import lognormal_cycles
 from repro.apps.memcached import MemcachedApp
 from repro.apps.registry import make_app
 from repro.units import MS
@@ -61,3 +62,18 @@ def test_registry(app):
 def test_validation():
     with pytest.raises(ValueError):
         MemcachedApp(random.Random(1), get_fraction=1.5)
+
+
+@pytest.mark.parametrize("sigma", [0.2, 0.0])
+def test_requests_draw_like_lognormal_cycles(sigma):
+    """make_request inlines lognormal_cycles: same draws, same values."""
+    app = MemcachedApp(random.Random(7), sigma=sigma)
+    ref = random.Random(7)
+    for i in range(500):
+        req = app.make_request(i, 0)
+        if ref.random() < app.get_fraction:
+            kind, mean, size = "get", app.get_mean_cycles, 96
+        else:
+            kind, mean, size = "set", app.set_mean_cycles, 256
+        assert (req.kind, req.size_bytes) == (kind, size)
+        assert req.service_cycles == lognormal_cycles(ref, mean, sigma)

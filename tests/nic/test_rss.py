@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.nic.rss import RssDistributor
+from repro.nic.rss import RssDistributor, _mix
 
 
 def test_round_robin_mode_is_modulo():
@@ -39,3 +39,11 @@ def test_invalid_args():
 def test_queue_always_in_range(flow, n_queues):
     rss = RssDistributor(n_queues)
     assert 0 <= rss.queue_for(flow) < n_queues
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1),
+       st.integers(min_value=1, max_value=64))
+def test_hash_mode_is_the_mix_hash(flow, n_queues):
+    """queue_for inlines _mix, which the P4 library steers by: the two
+    must place every flow on the same queue."""
+    assert RssDistributor(n_queues).queue_for(flow) == _mix(flow) % n_queues

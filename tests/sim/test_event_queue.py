@@ -17,31 +17,31 @@ def drain(queue):
 
 def test_pop_orders_by_time():
     q = EventQueue()
-    q.push(30, lambda: None)
-    q.push(10, lambda: None)
-    q.push(20, lambda: None)
+    q.schedule(30, lambda: None)
+    q.schedule(10, lambda: None)
+    q.schedule(20, lambda: None)
     assert [ev.time for ev in drain(q)] == [10, 20, 30]
 
 
 def test_same_time_events_preserve_fifo_order():
     q = EventQueue()
-    first = q.push(5, lambda: None)
-    second = q.push(5, lambda: None)
+    first = q.schedule(5, lambda: None)
+    second = q.schedule(5, lambda: None)
     popped = drain(q)
     assert popped == [first, second]
 
 
 def test_cancel_prevents_pop():
     q = EventQueue()
-    keep = q.push(1, lambda: None)
-    drop = q.push(2, lambda: None)
+    keep = q.schedule(1, lambda: None)
+    drop = q.schedule(2, lambda: None)
     q.cancel(drop)
     assert drain(q) == [keep]
 
 
 def test_cancel_is_idempotent_for_len():
     q = EventQueue()
-    ev = q.push(1, lambda: None)
+    ev = q.schedule(1, lambda: None)
     q.cancel(ev)
     q.cancel(ev)
     assert len(q) == 0
@@ -49,15 +49,15 @@ def test_cancel_is_idempotent_for_len():
 
 def test_len_counts_only_live_events():
     q = EventQueue()
-    events = [q.push(i, lambda: None) for i in range(5)]
+    events = [q.schedule(i, lambda: None) for i in range(5)]
     q.cancel(events[2])
     assert len(q) == 4
 
 
 def test_peek_time_skips_cancelled_head():
     q = EventQueue()
-    head = q.push(1, lambda: None)
-    q.push(7, lambda: None)
+    head = q.schedule(1, lambda: None)
+    q.schedule(7, lambda: None)
     q.cancel(head)
     assert q.peek_time() == 7
 
@@ -72,7 +72,7 @@ def test_pop_empty_returns_none():
 def test_pop_sequence_is_sorted(times):
     q = EventQueue()
     for t in times:
-        q.push(t, lambda: None)
+        q.schedule(t, lambda: None)
     popped = [ev.time for ev in drain(q)]
     assert popped == sorted(times)
 
@@ -82,7 +82,7 @@ def test_pop_sequence_is_sorted(times):
        st.data())
 def test_cancelled_subset_never_pops(times, data):
     q = EventQueue()
-    events = [q.push(t, lambda: None) for t in times]
+    events = [q.schedule(t, lambda: None) for t in times]
     to_cancel = data.draw(st.sets(
         st.integers(min_value=0, max_value=len(events) - 1)))
     for idx in to_cancel:

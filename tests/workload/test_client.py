@@ -40,7 +40,7 @@ def test_packets_carry_requests_with_creation_times(sim, nic):
     client = make_client(sim, nic)
     client.start(50 * MS)
     sim.run_until(100 * MS)
-    pkt = nic.queues[0].pop_rx()
+    pkt = nic.queues[0].rx.popleft()
     assert pkt.request is not None
     # The packet reached the NIC one wire latency after creation.
     assert pkt.request.created_ns == pkt.created_ns
@@ -50,7 +50,7 @@ def test_on_response_records_latency(sim, nic):
     client = make_client(sim, nic)
     client.start(50 * MS)
     sim.run_until(100 * MS)
-    pkt = nic.queues[0].pop_rx()
+    pkt = nic.queues[0].rx.popleft()
     sim.run_until(sim.now + 1 * MS)
     client.on_response(Packet(flow_id=pkt.flow_id, size_bytes=64,
                               created_ns=sim.now, request=pkt.request))
@@ -80,7 +80,7 @@ def test_completion_times_align_with_latencies(sim, nic):
     client.start(20 * MS)
     sim.run_until(50 * MS)
     for _ in range(3):
-        pkt = nic.queues[0].pop_rx()
+        pkt = nic.queues[0].rx.popleft()
         client.on_response(Packet(flow_id=0, size_bytes=64,
                                   created_ns=sim.now, request=pkt.request))
     assert client.completion_times_ns().size == client.latencies_ns().size

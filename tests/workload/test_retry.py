@@ -69,7 +69,7 @@ def test_response_before_timeout_cancels_the_timer(sim, nic):
     client = _make_client(sim, nic, retry)
     client.feed_arrivals([0])
     sim.run_until(1 * MS)
-    pkt = nic.queues[0].pop_rx()
+    pkt = nic.queues[0].rx.popleft()
     client.on_response(Packet(flow_id=pkt.flow_id, size_bytes=64,
                               created_ns=sim.now, request=pkt.request))
     sim.run_until(50 * MS)
@@ -83,7 +83,7 @@ def test_duplicate_responses_are_discarded(sim, nic):
     client = _make_client(sim, nic, retry)
     client.feed_arrivals([0])
     sim.run_until(1 * MS)
-    pkt = nic.queues[0].pop_rx()
+    pkt = nic.queues[0].rx.popleft()
     response = Packet(flow_id=pkt.flow_id, size_bytes=64,
                       created_ns=sim.now, request=pkt.request)
     client.on_response(response)
@@ -100,8 +100,8 @@ def test_retried_latency_is_anchored_at_original_creation(sim, nic):
     sim.run_until(3 * MS)  # first attempt timed out, retransmitted
     assert client.retries >= 1
     # Answer the retransmitted copy.
-    pkt = nic.queues[0].pop_rx()  # original attempt
-    retransmit = nic.queues[0].pop_rx()
+    pkt = nic.queues[0].rx.popleft()  # original attempt
+    retransmit = nic.queues[0].rx.popleft()
     assert retransmit.request is pkt.request
     client.on_response(Packet(flow_id=retransmit.flow_id, size_bytes=64,
                               created_ns=sim.now,
@@ -140,7 +140,7 @@ def test_closed_loop_duplicate_responses_are_discarded(sim, nic):
                               wire_latency_ns=5 * US, retry=retry)
     client.start(10 * MS)
     sim.run_until(1 * MS)
-    pkt = nic.queues[0].pop_rx()
+    pkt = nic.queues[0].rx.popleft()
     response = Packet(flow_id=pkt.flow_id, size_bytes=64,
                       created_ns=sim.now, request=pkt.request)
     client.on_response(response)
