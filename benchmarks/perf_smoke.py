@@ -34,10 +34,11 @@ simulated events/sec under ``datapath_backends`` — the spin-chunked
 busy-poll loop is the event-rate stress case worth tracking across PRs.
 
 ``--assert-analysis-time SECONDS`` adds a sixth: one cold run of the
-interprocedural flow engine (:mod:`repro.analysis.flow`) over all of
-``src/repro`` — parse, index, fixpoint, report. The gate keeps the
-CI analysis job interactive-fast (budget: 30 s; the dev container
-measures ~2 s) and catches a fixpoint that stops converging.
+determinism analysis engine (:mod:`repro.analysis.flow`, every rule)
+over all of ``src/repro`` — parse, index, fixpoint, report. The gate
+keeps the CI analysis job interactive-fast (budget: 30 s; the dev
+container measures ~2 s) and catches a fixpoint that stops
+converging.
 
 Usage::
 
@@ -174,9 +175,9 @@ def main(argv=None) -> int:
                              "datapath (repeatable; e.g. --backend poll)")
     parser.add_argument("--assert-analysis-time", type=float,
                         default=None, metavar="SECONDS",
-                        help="time one cold interprocedural flow "
-                             "analysis of src/repro and fail if it "
-                             "takes longer than SECONDS (CI budget: 30)")
+                        help="time one cold determinism analysis of "
+                             "src/repro and fail if it takes longer "
+                             "than SECONDS (CI budget: 30)")
     parser.add_argument("--out", type=Path,
                         default=Path(__file__).resolve().parent.parent
                         / "BENCH_eventloop.json",
@@ -235,7 +236,7 @@ def main(argv=None) -> int:
         analysis_seconds = time.perf_counter() - start
         record["flow_analysis_seconds"] = round(analysis_seconds, 3)
         record["flow_analysis_files"] = report.files_scanned
-        print(f"flow analysis: {report.files_scanned} files in "
+        print(f"analysis: {report.files_scanned} files in "
               f"{analysis_seconds:.2f}s")
     record["best"]["sim_events_per_sec"] = round(
         base["sim_events_per_sec"])
@@ -266,7 +267,7 @@ def main(argv=None) -> int:
         return 1
     if analysis_seconds is not None \
             and analysis_seconds > args.assert_analysis_time:
-        print(f"FAIL: flow analysis took {analysis_seconds:.1f}s, "
+        print(f"FAIL: analysis took {analysis_seconds:.1f}s, "
               f"budget is {args.assert_analysis_time:.0f}s",
               file=sys.stderr)
         return 1

@@ -9,7 +9,7 @@ questions interprocedural analysis asks constantly:
   method (via class resolution and a C3-free base walk), a builtin, or
   an external name. Import aliases (``import x as y``,
   ``from a.b import f as g``) resolve through the same
-  :class:`~repro.analysis.common.ImportMap` the linter uses, and
+  :class:`~repro.analysis.common.ImportMap` the syntactic rules use, and
   ``functools.partial(f, ...)`` resolves to ``f``.
 * *What is the static type of this name?* — tracked only for classes
   the index knows, seeded from parameter annotations
@@ -98,7 +98,10 @@ class ModuleInfo:
     """One parsed module."""
 
     name: str
+    #: Display path (relative to the report root): what findings carry.
     path: str
+    #: The file on disk (path-based policy such as the perf allowlist).
+    file: Path
     tree: ast.Module
     source: str
     imports: ImportMap
@@ -112,12 +115,31 @@ def _module_name(path: Path) -> str:
     Walks up while ``__init__.py`` exists, so names match what absolute
     imports inside the same tree say.
     """
+    path = path.resolve()  # a relative "." has itself as parent
     parts = [path.stem] if path.stem != "__init__" else []
     parent = path.parent
     while (parent / "__init__.py").exists():
         parts.insert(0, parent.name)
         parent = parent.parent
     return ".".join(parts) if parts else path.stem
+
+
+#: Statement fields that hold nested blocks: if/for/while/with/try
+#: bodies, ``else``/``finally`` blocks, except handlers, match cases.
+_BLOCK_FIELDS = ("body", "orelse", "finalbody", "handlers", "cases")
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _scope_defs(body: Sequence[ast.AST]):
+    """Every def and class of one scope, however deep its blocks nest
+    them (a def under ``for``/``if``/``with``/``try`` is still a def of
+    the enclosing scope)."""
+    for stmt in body:
+        if isinstance(stmt, _DEFS):
+            yield stmt
+        else:
+            for name in _BLOCK_FIELDS:
+                yield from _scope_defs(getattr(stmt, name, ()))
 
 
 def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
@@ -142,6 +164,9 @@ class ProjectIndex:
         self.calls: Dict[str, Set[str]] = {}
         #: Files that failed to parse, as P000 findings.
         self.parse_failures: List[Finding] = []
+        #: Every def/class statement -> its entry, so the scope that
+        #: runs the statement can bind the name.
+        self.symbols: Dict[ast.AST, Symbol] = {}
 
     # -- construction --------------------------------------------------- #
 
@@ -156,23 +181,45 @@ class ProjectIndex:
                 col=exc.offset or 0, message=f"syntax error: {exc.msg}"))
             return
         name = _module_name(path)
-        module = ModuleInfo(name=name, path=display, tree=tree,
+        if name in self.modules:
+            # Two files outside any package can share a stem; neither is
+            # importable by that name, so key the second by its path.
+            name = display
+        module = ModuleInfo(name=name, path=display, file=path, tree=tree,
                             source=source,
                             imports=ImportMap().collect(tree))
         self.modules[name] = module
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._add_function(module, stmt, class_info=None)
-            elif isinstance(stmt, ast.ClassDef):
-                self._add_class(module, stmt)
+        self._add_scope(module, tree.body, owner=None)
+
+    def _add_scope(self, module: ModuleInfo, body: Sequence[ast.AST],
+                   owner: Optional[Symbol]) -> None:
+        """Index the defs and classes of a module (``owner`` None), a
+        class body, or a function body."""
+        for node in _scope_defs(body):
+            if isinstance(node, ast.ClassDef):
+                self._add_class(module, node, owner)
+            else:
+                self._add_function(module, node, owner)
+
+    @staticmethod
+    def _qualify(module: ModuleInfo, owner: Optional[Symbol],
+                 node: ast.AST, taken: Dict[str, object]) -> str:
+        if owner is None:
+            qname = f"{module.name}.{node.name}"
+        elif isinstance(owner, ClassInfo):
+            qname = f"{owner.qname}.{node.name}"
+        else:
+            qname = f"{owner.qname}.<locals>.{node.name}"
+        if qname in taken:
+            # A conditional redefinition (if/else, try/except): keep
+            # both bodies analyzed.
+            qname = f"{qname}@{node.lineno}"
+        return qname
 
     def _add_function(self, module: ModuleInfo, node,
-                      class_info: Optional[ClassInfo],
-                      prefix: str = "") -> FunctionInfo:
-        if class_info is not None:
-            qname = f"{class_info.qname}.{node.name}"
-        else:
-            qname = f"{module.name}.{prefix}{node.name}"
+                      owner: Optional[Symbol]) -> FunctionInfo:
+        class_info = owner if isinstance(owner, ClassInfo) else None
+        qname = self._qualify(module, owner, node, self.functions)
         args = node.args
         positional = list(getattr(args, "posonlyargs", [])) + list(args.args)
         info = FunctionInfo(
@@ -191,36 +238,35 @@ class ProjectIndex:
             if default is not None:
                 info.defaults[arg.arg] = default
         self.functions[qname] = info
+        self.symbols[node] = info
         if class_info is not None:
             class_info.methods[node.name] = info
-        elif not prefix:
-            # Only top-level functions are visible by bare module name;
-            # nested defs resolve through the enclosing function's env.
+        elif owner is None:
+            # Only module-scope functions are visible by bare module
+            # name; nested defs resolve through the enclosing scope's
+            # environment.
             module.functions.setdefault(node.name, info)
-        # Nested defs get indexed too (resolvable by the enclosing
-        # function's analysis when bound to a local name).
-        for stmt in node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._add_function(module, stmt, class_info=None,
-                                   prefix=f"{prefix}{node.name}.<locals>.")
+        self._add_scope(module, node.body, info)
         return info
 
-    def _add_class(self, module: ModuleInfo, node: ast.ClassDef) -> None:
-        qname = f"{module.name}.{node.name}"
+    def _add_class(self, module: ModuleInfo, node: ast.ClassDef,
+                   owner: Optional[Symbol]) -> None:
+        qname = self._qualify(module, owner, node, self.classes)
         info = ClassInfo(qname=qname, name=node.name, module=module,
                          node=node, base_exprs=list(node.bases),
                          is_dataclass=_is_dataclass_decorated(node))
-        module.classes[node.name] = info
+        if owner is None:
+            module.classes[node.name] = info
         self.classes[qname] = info
+        self.symbols[node] = info
         for stmt in node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._add_function(module, stmt, class_info=info)
-            elif (isinstance(stmt, ast.AnnAssign)
+            if (isinstance(stmt, ast.AnnAssign)
                     and isinstance(stmt.target, ast.Name)):
                 ann = stmt.annotation
                 dotted = ast.unparse(ann) if ann is not None else ""
                 if not dotted.startswith("ClassVar"):
                     info.fields[stmt.target.id] = stmt
+        self._add_scope(module, node.body, info)
 
     # -- resolution ------------------------------------------------------ #
 

@@ -1,15 +1,17 @@
-"""Shared machinery of the static-analysis passes.
+"""Shared machinery of the determinism analysis engine.
 
-:mod:`repro.analysis.lint` (the intraprocedural determinism linter) and
-:mod:`repro.analysis.flow` (the interprocedural call-graph engine) share
-everything that is not a rule: the :class:`Finding`/:class:`Report`
-shapes and their JSON format, import-alias resolution, per-line
+Everything that is not a rule lives here: the rule catalogue
+(:data:`RULES`), the :class:`Finding`/:class:`Report` shapes and their
+JSON format, import-alias resolution, per-line
 ``# repro: allow[RULE] -- why`` pragma suppression, file discovery, and
 the suppression-*debt* accounting that the ``--debt`` gate ratchets.
+The rules themselves live in :mod:`repro.analysis.lint` (syntactic,
+per call site) and :mod:`repro.analysis.flow` (dataflow, across
+functions); :func:`repro.analysis.flow.analyze_index` runs both over
+one parse of each file.
 
-Keeping one copy matters beyond hygiene: a pragma must mean the same
-thing to both passes, and the JSON report format is pinned by golden
-tests that consumers (CI, the debt gate) rely on.
+The JSON report format is pinned by golden tests that consumers (CI,
+the debt gate) rely on.
 """
 
 from __future__ import annotations
@@ -19,7 +21,25 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+
+if TYPE_CHECKING:  # callgraph imports this module
+    from repro.analysis.callgraph import ProjectIndex
+
+#: Rule id -> one-line meaning (stable: the JSON report embeds these).
+RULES: Dict[str, str] = {
+    "D001": "wall-clock read in simulation code",
+    "D002": "global PRNG use, or an RNG seed not derived from the "
+            "experiment seed",
+    "D003": "unordered iteration reaching the event kernel",
+    "D004": "float accumulation over an unordered collection",
+    "D005": "mutable default argument",
+    "U001": "time-valued name missing the _ns suffix",
+    "S001": "suppression without a justification",
+    "H001": "config field read by simulation but missing from the hash",
+    "H002": "hashed config field never read by simulation code",
+    "P000": "file does not parse",
+}
 
 #: Matches the suppression pragma: "repro: allow[RULES]" in a comment,
 #: optionally followed by "-- justification" (rules comma-separated).
@@ -63,7 +83,7 @@ class Report:
     files_scanned: int
     #: Rule id -> one-line meaning, embedded in the JSON report so a
     #: consumer never needs the producing module to interpret ids.
-    rules: Dict[str, str] = field(default_factory=dict)
+    rules: Dict[str, str] = field(default_factory=lambda: dict(RULES))
 
     def active(self) -> List[Finding]:
         """Findings that are not suppressed (these fail ``--strict``)."""
@@ -118,24 +138,17 @@ class ImportMap:
     def __init__(self) -> None:
         self.aliases: Dict[str, str] = {}
 
-    def add_import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self.aliases[alias.asname or alias.name.split(".")[0]] = \
-                alias.name
-
-    def add_import_from(self, node: ast.ImportFrom) -> None:
-        if node.module:
-            for alias in node.names:
-                self.aliases[alias.asname or alias.name] = \
-                    f"{node.module}.{alias.name}"
-
     def collect(self, tree: ast.AST) -> "ImportMap":
         """Walk ``tree`` once, absorbing every import statement."""
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                self.add_import(node)
-            elif isinstance(node, ast.ImportFrom):
-                self.add_import_from(node)
+                for alias in node.names:
+                    self.aliases[alias.asname
+                                 or alias.name.split(".")[0]] = alias.name
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                for alias in node.names:
+                    self.aliases[alias.asname or alias.name] = \
+                        f"{node.module}.{alias.name}"
         return self
 
     def origin(self, alias: str, default: str = "") -> str:
@@ -175,14 +188,13 @@ def parse_pragmas(source: str) -> Dict[int, Tuple[set, Optional[str]]]:
     return allows
 
 
-def apply_suppressions(findings: List[Finding], source: str, path: str,
-                       emit_s001: bool = True) -> List[Finding]:
+def apply_suppressions(findings: List[Finding], source: str,
+                       path: str) -> List[Finding]:
     """Mark findings allowed by their line's pragma; flag bare pragmas.
 
     A pragma without a ``-- justification`` is itself a finding
     (``S001``): the whole point of an allowlist entry is the recorded
-    *why*. The linter owns emitting S001; a second pass over the same
-    files passes ``emit_s001=False`` so the finding is not duplicated.
+    *why*.
     """
     allows = parse_pragmas(source)
     for finding in findings:
@@ -191,14 +203,13 @@ def apply_suppressions(findings: List[Finding], source: str, path: str,
             finding.suppressed = True
             finding.justification = entry[1]
     out = list(findings)
-    if emit_s001:
-        for lineno, (rules, justification) in sorted(allows.items()):
-            if justification is None:
-                out.append(Finding(
-                    rule="S001", path=path, line=lineno, col=0,
-                    message=f"suppression of {','.join(sorted(rules))} "
-                            f"carries no justification (write "
-                            f"'# repro: allow[RULE] -- why')"))
+    for lineno, (rules, justification) in sorted(allows.items()):
+        if justification is None:
+            out.append(Finding(
+                rule="S001", path=path, line=lineno, col=0,
+                message=f"suppression of {','.join(sorted(rules))} "
+                        f"carries no justification (write "
+                        f"'# repro: allow[RULE] -- why')"))
     return out
 
 
@@ -239,29 +250,28 @@ def _string_literal_lines(tree: ast.AST) -> set:
     return lines
 
 
-def count_debt(paths: Sequence[Path],
-               rel_to: Optional[Path] = None) -> Dict[str, Dict[str, int]]:
+def count_debt(index: "ProjectIndex") -> Dict[str, Dict[str, int]]:
     """Suppression-pragma counts: rule id -> display path -> count.
 
     Counts every ``# repro: allow[...]`` pragma outside string literals,
-    one per rule id it names. This is the *debt* the ``--debt`` gate
-    ratchets: each (rule, module) count may only stay or go down
-    relative to the checked-in baseline.
+    one per rule id it names, in the modules of ``index`` (from the
+    sources and trees it already holds: no file is read twice). Files
+    that fail to parse carry no debt; they fail the gate as ``P000``.
+    This is the *debt* the ``--debt`` gate ratchets: each
+    (rule, module) count may only stay or go down relative to the
+    checked-in baseline.
     """
     debt: Dict[str, Dict[str, int]] = {}
-    for path in iter_python_files(paths):
-        display = display_path(path, rel_to)
-        source = path.read_text()
-        try:
-            doc_lines = _string_literal_lines(ast.parse(source))
-        except SyntaxError:
-            doc_lines = set()
-        for lineno, (rules, _) in parse_pragmas(source).items():
+    for module in index.modules.values():
+        doc_lines = None
+        for lineno, (rules, _) in parse_pragmas(module.source).items():
+            if doc_lines is None:
+                doc_lines = _string_literal_lines(module.tree)
             if lineno in doc_lines:
                 continue
             for rule in sorted(rules):
                 per_path = debt.setdefault(rule, {})
-                per_path[display] = per_path.get(display, 0) + 1
+                per_path[module.path] = per_path.get(module.path, 0) + 1
     return {rule: dict(sorted(paths_.items()))
             for rule, paths_ in sorted(debt.items())}
 

@@ -1,11 +1,13 @@
-"""Interprocedural determinism analysis over the project call graph.
+"""The determinism analysis engine: one parse, every rule, one report.
 
-:mod:`repro.analysis.lint` checks one function at a time; this engine
-checks the *flows between* them. It builds a
-:class:`~repro.analysis.callgraph.ProjectIndex` over the analyzed tree,
-then iterates per-function summaries to a fixpoint and replays the
-program against them, tracking two properties through returns,
-parameters, attribute stores, and container round-trips:
+:func:`analyze_paths` builds a
+:class:`~repro.analysis.callgraph.ProjectIndex` over the analyzed tree
+(each file read and parsed once), runs the syntactic rules of
+:mod:`repro.analysis.lint` over every module's tree, and runs the
+dataflow rules below across functions: it iterates per-function
+summaries to a fixpoint and replays the program against them, tracking
+two properties through returns, parameters, attribute stores, and
+container round-trips:
 
 * **hash-order taint** — does a value's iteration order depend on
   Python's per-process string hashing? ``set``/``frozenset``/``vars()``
@@ -17,7 +19,8 @@ parameters, attribute stores, and container round-trips:
   fields (``.seed`` / ``*_seed``) produce derived values; provenance
   follows assignments, returns, and call arguments.
 
-Rules (same report/JSON/pragma format as the linter):
+Dataflow rules (the catalogue of every rule is
+:data:`repro.analysis.common.RULES`):
 
 ========  ===========================================================
 Rule      Meaning
@@ -27,30 +30,32 @@ Rule      Meaning
           constants, untraceable values, and calls that leave a
           seed-sinking parameter to a non-derived default.
 ``D003``  Hash-ordered iteration reaching the event kernel
-          (``schedule``/``schedule_at``/``push``), including through
-          helper returns, parameters, and laundering containers.
+          (``schedule``/``schedule_at``), in the loop itself or
+          through helper returns, parameters, and laundering
+          containers.
 ``D004``  Float accumulation (``+=`` loops, ``sum()``) in hash order,
-          with the same interprocedural reach.
+          with the same reach.
 ``H001``  A config field that simulation code reads but the
           ``HASHED_FIELDS`` registry in ``confighash.py`` does not
           hash: changing it would silently serve stale cached results.
 ``H002``  A ``HASHED_FIELDS`` entry no simulation code reads: dead
           config that still invalidates the cache, or a stale registry
           entry naming no real field.
-``P000``  File does not parse.
 ========  ===========================================================
 
 Known limits (by design — this is a linter, not a verifier): the
 analysis is flow-insensitive across branches (both sides of an ``if``
 join), context-insensitive (one summary per function), and does not
-track taint through subscripts, closures' free variables, or
-callbacks handed to the kernel. Suppress residual false positives with
-the usual ``# repro: allow[RULE] -- why`` pragma; the ``--debt`` gate
-keeps the pragma count ratcheting down.
+track taint through subscripts, the free variables of nested defs, or
+callbacks handed to the kernel. Every def and class is analyzed
+wherever it stands; module and class bodies, decorators, defaults and
+lambda bodies are analyzed in the scope that runs them. Suppress
+residual false positives with the usual ``# repro: allow[RULE] --
+why`` pragma; the ``--debt`` gate keeps the pragma count ratcheting
+down.
 
-Run ``python -m repro.analysis flow [--strict] [--json PATH]
-[--debt [BASELINE]] [paths]``; ``lint --strict`` folds these findings
-in automatically.
+Run ``python -m repro.analysis lint [--strict] [--json PATH] [--debt]
+[paths]`` (``flow`` is an alias of the same command).
 """
 
 from __future__ import annotations
@@ -65,21 +70,13 @@ from repro.analysis.callgraph import (ClassInfo, FunctionInfo,
                                       ModuleInfo, ProjectIndex,
                                       build_index)
 from repro.analysis.common import Finding, Report, apply_suppressions
+from repro.analysis.lint import check_module, is_global_prng
 
-__all__ = ["FLOW_RULES", "FlowReport", "analyze_index", "analyze_paths"]
+__all__ = ["analyze_index", "analyze_paths"]
 
-#: Rule id -> one-line meaning (embedded in the JSON report).
-FLOW_RULES: Dict[str, str] = {
-    "D002": "RNG seed not provably derived from the experiment seed",
-    "D003": "unordered iteration reaching the event kernel (flow-aware)",
-    "D004": "float accumulation in hash order (flow-aware)",
-    "H001": "config field read by simulation but missing from the hash",
-    "H002": "hashed config field never read by simulation code",
-    "P000": "file does not parse",
-}
-
-#: Event-kernel entry points (kept in sync with the linter).
-_SCHEDULE_NAMES = frozenset({"schedule", "schedule_at", "push"})
+#: Event-kernel entry points: hash-ordered iteration must never feed
+#: them (``Simulator.schedule`` / ``Simulator.schedule_at``).
+_SCHEDULE_NAMES = frozenset({"schedule", "schedule_at"})
 #: Functions whose return value *is* a derived seed.
 _SEED_DERIVERS = frozenset({"derive_stream", "_derive_seed"})
 #: Builtins that force hash-ordered iteration.
@@ -108,6 +105,13 @@ _RNG_CONSTRUCTORS = frozenset({
 #: Methods of registry config classes whose reads are validation, not
 #: behavior — excluded from H-rule read evidence.
 _VALIDATION_METHODS = frozenset({"__post_init__", "validate"})
+
+#: ``try``/``try*`` and ``match`` (``try*`` from 3.11, ``match`` from
+#: 3.10; an empty tuple matches nothing on older interpreters).
+_TRY_STMTS = tuple(getattr(ast, name) for name in ("Try", "TryStar")
+                   if hasattr(ast, name))
+_MATCH_STMTS = tuple(getattr(ast, name) for name in ("Match",)
+                     if hasattr(ast, name))
 
 _D003_LOCAL = ("iterating an unordered collection into the event "
                "kernel: same-timestamp event order would follow hash "
@@ -154,12 +158,25 @@ UNORDERED = Val(unordered=True)
 DERIVED = Val(derived=True)
 
 
+#: The optional bindings of a Val; ``join`` drops a conflicting one.
+_BINDINGS = ("cls", "cls_ref", "func", "partial")
+
+
 def _merge_opt(a, b):
     if a is None:
         return b
     if b is None or a == b:
         return a
     return None  # conflicting bindings -> unknown
+
+
+def _conflicts(a: Val, b: Val) -> bool:
+    """True when ``a`` and ``b`` bind some name to different things."""
+    for name in _BINDINGS:
+        x, y = getattr(a, name), getattr(b, name)
+        if x is not None and y is not None and x != y:
+            return True
+    return False
 
 
 def join(a: Val, b: Val) -> Val:
@@ -194,7 +211,7 @@ class Summary:
     acc_params: FrozenSet[int] = frozenset()
     #: Parameters used (non-derived) to seed an RNG.
     seed_params: FrozenSet[int] = frozenset()
-    #: Transitively reaches schedule/schedule_at/push.
+    #: Transitively reaches schedule/schedule_at.
     schedules: bool = False
 
 
@@ -350,7 +367,7 @@ class _Analyzer:
                 if item.optional_vars is not None:
                     self._assign(item.optional_vars, val, None)
             self.run(stmt.body)
-        elif isinstance(stmt, ast.Try):
+        elif isinstance(stmt, _TRY_STMTS):
             self.run(stmt.body)
             for handler in stmt.handlers:
                 self.run(handler.body)
@@ -367,15 +384,43 @@ class _Analyzer:
             for target in stmt.targets:
                 if isinstance(target, ast.Name):
                     self.env.pop(target.id, None)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # Nested def: analyzed as its own indexed function; here we
-            # only bind the local name so calls through it resolve.
-            qname = (f"{self.finfo.qname}.<locals>.{stmt.name}"
-                     if "." in self.finfo.qname else stmt.name)
-            if qname in self.index.functions:
-                self.env[stmt.name] = Val(func=qname)
-        # ClassDef / Import / Pass / Break / Continue / Global: no-op
-        # (imports are already in the module's ImportMap).
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            self._visit_def(stmt)
+        elif isinstance(stmt, _MATCH_STMTS):
+            self.eval(stmt.subject)
+            for case in stmt.cases:
+                self.eval(case.guard)
+                self.run(case.body)
+        # Import / Pass / Break / Continue / Global: no-op (imports are
+        # already in the module's ImportMap).
+
+    def _visit_def(self, node) -> None:
+        """Run what a def or class statement runs where it stands
+        (decorators, defaults, bases, the class body) and bind its name.
+
+        A function body runs when called: it is analyzed as its own
+        indexed function.
+        """
+        for expr in node.decorator_list:
+            self.eval(expr)
+        symbol = self.index.symbols[node]
+        if isinstance(node, ast.ClassDef):
+            for expr in node.bases:
+                self.eval(expr)
+            for kw in node.keywords:
+                self.eval(kw.value)
+            body = _ModuleFunction(qname=f"{symbol.qname}.<body>",
+                                   module=self.module, node=node)
+            _Analyzer(self.engine, body, self.report).run(node.body)
+            self.env[node.name] = Val(cls_ref=symbol.qname)
+        else:
+            self._eval_defaults(node.args)
+            self.env[node.name] = Val(func=symbol.qname)
+
+    def _eval_defaults(self, args: ast.arguments) -> None:
+        for expr in list(args.defaults) + list(args.kw_defaults):
+            self.eval(expr)
 
     def _assign(self, target: ast.AST, val: Val,
                 value_node: Optional[ast.AST]) -> None:
@@ -428,6 +473,9 @@ class _Analyzer:
         method = getattr(self, f"_eval_{type(node).__name__}", None)
         if method is not None:
             return method(node)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.expr):
+                self.eval(child)
         return CLEAN
 
     def _lookup(self, name: str) -> Optional[Val]:
@@ -549,6 +597,25 @@ class _Analyzer:
         return CLEAN
 
     def _eval_Lambda(self, node: ast.Lambda) -> Val:
+        # The body runs when the lambda is called, not here: its kernel
+        # calls do not count toward an enclosing loop, and its
+        # parameters shadow the enclosing names.
+        self._eval_defaults(node.args)
+        args = node.args
+        params = [a.arg for a in (list(args.posonlyargs)
+                                  + list(args.args)
+                                  + list(args.kwonlyargs)
+                                  + [args.vararg, args.kwarg]) if a]
+        shadowed = {name: self.env[name] for name in params
+                    if name in self.env}
+        loops, schedules = self.loops, self.schedules
+        self.loops = []
+        self.env.update(dict.fromkeys(params, CLEAN))
+        self.eval(node.body)
+        for name in params:
+            self.env.pop(name, None)
+        self.env.update(shadowed)
+        self.loops, self.schedules = loops, schedules
         return CLEAN
 
     # Comprehensions: order taint passes from the driving iterables
@@ -715,8 +782,11 @@ class _Analyzer:
                 self.env[name] = replace(val, unordered=False,
                                          u_params=frozenset())
             return CLEAN
-        if attr == "seed" and pos_vals:
+        if attr == "seed" and pos_vals and not is_global_prng(
+                self.module.imports.dotted(func) or ""):
             # ``rng.seed(x)`` re-seeds in place: same provenance rule.
+            # (``random.seed``/``numpy.random.seed`` are global-PRNG
+            # use, reported by the syntactic D002 check.)
             self._check_seed_val(node, pos_vals[0],
                                  f"{ast.unparse(func)}()")
             return CLEAN
@@ -824,7 +894,7 @@ class _Analyzer:
                       pos_vals: List[Val], kw_vals: Dict[str, Val],
                       shift: int, has_star: bool) -> Val:
         self.engine.index.add_call_edge(self.finfo.qname, callee.qname)
-        if callee.qname.rsplit(".", 1)[-1] in _SEED_DERIVERS:
+        if callee.node.name in _SEED_DERIVERS:
             return DERIVED
         summary = self.engine.summaries.get(callee.qname, Summary())
         if summary.schedules:
@@ -862,7 +932,7 @@ class _Analyzer:
             idx = self._param_slot(callee, name)
             if idx is not None:
                 mapped[idx] = val
-        short = callee.qname.rsplit(".", 1)[-1]
+        short = callee.node.name
         for idx, val in mapped.items():
             pname = self._param_name(callee, idx)
             if idx in summary.sink_params:
@@ -925,7 +995,7 @@ class _Analyzer:
                 continue  # None sentinel: derivation happens inside
             val = self.engine.eval_in_module(callee.module, default)
             if not val.derived:
-                short = callee.qname.rsplit(".", 1)[-1]
+                short = callee.node.name
                 self._add("D002", node,
                           f"call leaves seed parameter '{pname}' of "
                           f"{short}() at its default, which is not "
@@ -964,6 +1034,8 @@ class FlowEngine:
             qname: Summary() for qname in index.functions}
         #: (class qname, attribute) -> joined stored value.
         self.attr_vals: Dict[Tuple[str, str], Val] = {}
+        #: Attribute keys stored with conflicting bindings.
+        self._attr_conflicts: Set[Tuple[str, str]] = set()
         self.module_envs: Dict[str, Dict[str, Val]] = {}
         self.changed = False
         self.findings: List[Finding] = []
@@ -1010,6 +1082,15 @@ class FlowEngine:
         key = (cls_qname, attr)
         old = self.attr_vals.get(key, CLEAN)
         new = join(old, val)
+        # ``join`` maps two different bindings to None, and None back
+        # to a binding on the next store, so a key stored with two
+        # classes (or functions, partials) would flip every pass and
+        # the fixpoint would never settle. A conflicted key stays
+        # unbound for good.
+        if key in self._attr_conflicts or _conflicts(old, val):
+            self._attr_conflicts.add(key)
+            new = replace(new, cls=None, cls_ref=None, func=None,
+                          bound=False, partial=None)
         if new != old:
             self.attr_vals[key] = new
             self.changed = True
@@ -1063,11 +1144,7 @@ class FlowEngine:
         pseudo = _ModuleFunction(qname=f"{module.name}.<module>",
                                  module=module, node=module.tree)
         analyzer = _Analyzer(self, pseudo, report)
-        for stmt in module.tree.body:
-            if not isinstance(stmt, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                analyzer.visit_stmt(stmt)
+        analyzer.run(module.tree.body)
         return analyzer.env
 
     # -- H001 / H002 ----------------------------------------------------- #
@@ -1195,45 +1272,35 @@ class FlowEngine:
 # Public entry points
 # --------------------------------------------------------------------- #
 
-@dataclass
-class FlowReport(Report):
-    """A :class:`~repro.analysis.common.Report` with the flow rules."""
-
-    rules: Dict[str, str] = dc_field(
-        default_factory=lambda: dict(FLOW_RULES))
-
-
 def analyze_index(index: ProjectIndex,
-                  select: Optional[Sequence[str]] = None
-                  ) -> FlowReport:
-    """Run the flow engine over an already-built index."""
-    engine = FlowEngine(index)
-    findings = engine.run()
-    findings.extend(index.parse_failures)
-    sources = {m.path: m.source for m in index.modules.values()}
+                  select: Optional[Sequence[str]] = None) -> Report:
+    """Run every rule over an already-built index.
+
+    The dataflow rules run across the whole index; the syntactic rules
+    run on each module's tree. Each module's pragmas are then applied
+    once to all of its findings (emitting ``S001`` for bare ones).
+    """
+    findings = FlowEngine(index).run()
     by_path: Dict[str, List[Finding]] = {}
     for finding in findings:
         by_path.setdefault(finding.path, []).append(finding)
-    out: List[Finding] = []
-    for path, group in by_path.items():
-        source = sources.get(path)
-        if source is not None:
-            group = apply_suppressions(group, source, path,
-                                       emit_s001=False)
-        out.extend(group)
+    out: List[Finding] = list(index.parse_failures)
+    for module in index.modules.values():
+        group = by_path.get(module.path, [])
+        group.extend(check_module(module))
+        out.extend(apply_suppressions(group, module.source, module.path))
     if select:
         wanted = set(select)
         out = [f for f in out if f.rule in wanted]
     out.sort(key=Finding.sort_key)
-    return FlowReport(findings=out,
-                      files_scanned=len(index.modules)
-                      + len(index.parse_failures))
+    return Report(findings=out,
+                  files_scanned=len(index.modules)
+                  + len(index.parse_failures))
 
 
 def analyze_paths(paths: Sequence[Path],
                   rel_to: Optional[Path] = None,
-                  select: Optional[Sequence[str]] = None
-                  ) -> FlowReport:
+                  select: Optional[Sequence[str]] = None) -> Report:
     """Build the index for ``paths`` and analyze it."""
     return analyze_index(build_index(paths, rel_to=rel_to),
                          select=select)

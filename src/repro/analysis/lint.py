@@ -1,10 +1,11 @@
-"""Determinism linter: AST rules for the reproducibility contract.
+"""Syntactic determinism rules: facts a single call or binding shows.
 
-Simulation results must be a pure function of ``(config, seed)``. The
-hazards that break that are mundane Python: a ``time.time()`` snuck into
-a model, a ``random.random()`` bypassing the seeded stream registry, a
-``for x in some_set`` whose hash-dependent order leaks into event
-scheduling or float accumulation. Each rule here targets one hazard:
+Simulation results must be a pure function of ``(config, seed)``. Some
+hazards that break that are visible at one call site, with no dataflow:
+a ``time.time()`` snuck into a model, a ``random.random()`` drawing from
+the process-global PRNG, a mutable default argument, a nanosecond
+quantity bound to a name without the ``_ns`` suffix. Each rule here
+targets one of them:
 
 ========  ===========================================================
 Rule      Meaning
@@ -13,61 +14,34 @@ Rule      Meaning
           ``time.perf_counter`` is allowed only in the modules of
           :data:`PERF_COUNTER_ALLOWLIST`, which measure wall time *about*
           simulations (never inside the model).
-``D002``  Unseeded or global randomness: module-level ``random.*``
-          draws, ``random.Random(...)`` not provably seeded via
-          :func:`repro.sim.rng.derive_stream` (or the module's own
-          ``_derive_seed``), ``numpy.random.default_rng()`` with no seed.
-``D003``  Iteration over an unordered collection (``set`` /
-          ``frozenset`` / ``vars()`` / ``__dict__``) whose order reaches
-          the event kernel (``schedule`` / ``schedule_at`` / ``push``).
-``D004``  Float accumulation over an unordered collection: ``sum()`` of
-          a set expression, or ``+=`` inside a loop over one.
+``D002``  Use of the process-global PRNG: a module-level ``random.*``
+          function (:data:`_GLOBAL_RANDOM`) or ``numpy.random.seed``.
+          (Seed *provenance* of RNG constructors is a dataflow question;
+          :mod:`repro.analysis.flow` answers it under the same id.)
 ``D005``  Mutable default argument (shared across calls — state leaks
           between runs).
 ``U001``  A name bound to a ``<n> * NS/US/MS/S`` time expression whose
           name does not end in ``_ns`` (``_NS`` for UPPER_CASE
           constants — the :mod:`repro.units` convention; mixed units
           are how latency bugs start).
-``S001``  A suppression comment without a justification.
 ========  ===========================================================
 
-Suppression is per line, with a mandatory justification::
-
-    t0 = time.time()  # repro: allow[D001] -- operator-facing timestamp
-
-Dict iteration is *not* flagged: CPython dicts are insertion-ordered,
-so ``d.keys()`` is deterministic whenever the inserts were. Sets are
-the genuine hazard — string hashes vary per process unless
-``PYTHONHASHSEED`` is pinned.
-
-Run ``python -m repro.analysis lint [--strict] [--json PATH] [paths]``;
-``--strict`` (the CI gate) exits non-zero on any unsuppressed finding.
+:func:`check_module` runs these rules over one already-parsed module of
+a :class:`~repro.analysis.callgraph.ProjectIndex`;
+:func:`repro.analysis.flow.analyze_index` calls it for every module, so
+every rule runs over one parse of each file. Suppressions, ``S001`` and
+the report are shared (:mod:`repro.analysis.common`).
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List
 
-from repro.analysis.common import (Finding, ImportMap, Report,
-                                   apply_suppressions, iter_python_files)
+from repro.analysis.callgraph import ModuleInfo
+from repro.analysis.common import Finding
 
-__all__ = ["RULES", "PERF_COUNTER_ALLOWLIST", "Finding", "LintReport",
-           "lint_file", "lint_paths", "iter_python_files"]
-
-#: Rule id -> one-line meaning (stable: the JSON report embeds these).
-RULES: Dict[str, str] = {
-    "D001": "wall-clock read in simulation code",
-    "D002": "unseeded or global random source",
-    "D003": "unordered iteration reaching the event kernel",
-    "D004": "float accumulation over an unordered collection",
-    "D005": "mutable default argument",
-    "U001": "time-valued name missing the _ns suffix",
-    "S001": "suppression without a justification",
-    "P000": "file does not parse",
-}
+__all__ = ["PERF_COUNTER_ALLOWLIST", "check_module", "is_global_prng"]
 
 #: Modules (matched as path suffixes) allowed to call
 #: ``time.perf_counter``: they time simulations from the outside
@@ -97,126 +71,42 @@ _GLOBAL_RANDOM = frozenset({
     "randbytes", "randint", "random", "randrange", "sample", "seed",
     "shuffle", "triangular", "uniform", "vonmisesvariate", "weibullvariate",
 })
-#: Callables that turn an experiment seed into a stream seed; a
-#: ``Random(...)`` whose argument passes through one of these is
-#: provably derived from the run's master seed.
-_SEED_DERIVERS = frozenset({"derive_stream", "_derive_seed"})
-#: Event-kernel entry points: set-ordered iteration must never feed them.
-_SCHEDULE_NAMES = frozenset({"schedule", "schedule_at", "push"})
 #: Time-unit constants from repro.units (ns-denominated).
 _UNIT_NAMES = frozenset({"NS", "US", "MS", "S"})
 
-@dataclass
-class LintReport(Report):
-    """A :class:`~repro.analysis.common.Report` carrying the lint rules."""
 
-    rules: Dict[str, str] = field(default_factory=lambda: dict(RULES))
-
-
-# --------------------------------------------------------------------- #
-# Per-file analysis
-# --------------------------------------------------------------------- #
-
-class _Scope:
-    """One lexical scope's knowledge: which local names hold sets."""
-
-    def __init__(self) -> None:
-        self.set_names: set = set()
+def is_global_prng(dotted: str) -> bool:
+    """True when the resolved call target uses the process-global PRNG."""
+    if dotted.startswith("random."):
+        return dotted[len("random."):] in _GLOBAL_RANDOM
+    return dotted == "numpy.random.seed"
 
 
 class _FileLinter(ast.NodeVisitor):
-    """Single AST walk collecting findings for every rule."""
+    """Single AST walk collecting findings for the syntactic rules."""
 
-    def __init__(self, path: str, perf_allowed: bool):
-        self.path = path
-        self.perf_allowed = perf_allowed
+    def __init__(self, module: ModuleInfo):
+        self.path = module.path
+        posix = module.file.as_posix()
+        self.perf_allowed = any(posix.endswith(entry)
+                                for entry in PERF_COUNTER_ALLOWLIST)
         self.findings: List[Finding] = []
         #: Alias resolution ("np" -> "numpy", "perf_counter" ->
-        #: "time.perf_counter"); shared with the flow engine.
-        self.imports = ImportMap()
-        self.scopes: List[_Scope] = [_Scope()]
-
-    # -- bookkeeping --------------------------------------------------- #
+        #: "time.perf_counter"), collected once by the index.
+        self.imports = module.imports
 
     def _add(self, rule: str, node: ast.AST, message: str) -> None:
         self.findings.append(Finding(
             rule=rule, path=self.path, line=node.lineno,
             col=node.col_offset, message=message))
 
-    def visit_Import(self, node: ast.Import) -> None:
-        self.imports.add_import(node)
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        self.imports.add_import_from(node)
-        self.generic_visit(node)
-
-    def _dotted(self, func: ast.AST) -> Optional[str]:
-        """Resolve a call target through the imports (see ImportMap)."""
-        return self.imports.dotted(func)
-
-    # -- D003 / D004 helpers ------------------------------------------ #
-
-    def _is_unordered(self, node: ast.AST) -> bool:
-        """True when ``node`` evaluates to a hash-ordered collection."""
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Name):
-            return any(node.id in scope.set_names for scope in self.scopes)
-        if isinstance(node, ast.BinOp) and isinstance(
-                node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)):
-            return (self._is_unordered(node.left)
-                    or self._is_unordered(node.right))
-        if isinstance(node, ast.Attribute) and node.attr == "__dict__":
-            return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in (
-                    "set", "frozenset", "vars"):
-                return True
-            if isinstance(func, ast.Attribute) and func.attr in (
-                    "union", "intersection", "difference",
-                    "symmetric_difference"):
-                return self._is_unordered(func.value)
-        return False
-
-    @staticmethod
-    def _body_sinks(body: Sequence[ast.stmt]) -> Tuple[bool, bool]:
-        """(reaches event kernel, float-accumulates) for a loop body."""
-        schedules = False
-        accumulates = False
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in _SCHEDULE_NAMES):
-                    schedules = True
-                elif (isinstance(node, ast.AugAssign)
-                        and isinstance(node.op, ast.Add)):
-                    accumulates = True
-        return schedules, accumulates
-
-    # -- rule visitors -------------------------------------------------- #
+    # -- D001 / D002 ---------------------------------------------------- #
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = self._dotted(node.func)
+        dotted = self.imports.dotted(node.func)
         if dotted is not None:
             self._check_wallclock(node, dotted)
             self._check_random(node, dotted)
-        if (isinstance(node.func, ast.Name) and node.func.id == "sum"
-                and node.args):
-            arg = node.args[0]
-            if self._is_unordered(arg):
-                self._add("D004", node,
-                          "sum() over an unordered collection: float "
-                          "accumulation order depends on hashing")
-            elif isinstance(arg, ast.GeneratorExp) and any(
-                    self._is_unordered(gen.iter)
-                    for gen in arg.generators):
-                self._add("D004", node,
-                          "sum() over a generator driven by an unordered "
-                          "collection: accumulation order depends on "
-                          "hashing")
         self.generic_visit(node)
 
     def _check_wallclock(self, node: ast.Call, dotted: str) -> None:
@@ -232,55 +122,18 @@ class _FileLinter(ast.NodeVisitor):
                       f"(see repro.analysis.lint.PERF_COUNTER_ALLOWLIST)")
 
     def _check_random(self, node: ast.Call, dotted: str) -> None:
-        if dotted.startswith("random.") and \
-                dotted.split(".", 1)[1] in _GLOBAL_RANDOM:
-            self._add("D002", node,
-                      f"{dotted}() draws from the process-global PRNG; "
-                      f"use a stream from repro.sim.rng instead")
+        if not is_global_prng(dotted):
             return
-        if dotted in ("random.Random", "random.SystemRandom"):
-            if not node.args or not self._seed_derived(node.args[0]):
-                self._add("D002", node,
-                          "Random() not provably seeded via "
-                          "repro.sim.rng.derive_stream")
-            return
-        if dotted in ("numpy.random.default_rng", "numpy.random.RandomState",
-                      "numpy.random.Generator") and not node.args \
-                and not node.keywords:
-            self._add("D002", node,
-                      f"{dotted}() with no seed draws OS entropy; pass a "
-                      f"seed derived from the experiment seed")
-        elif dotted == "numpy.random.seed":
+        if dotted == "numpy.random.seed":
             self._add("D002", node,
                       "numpy.random.seed() mutates the global numpy PRNG; "
                       "use repro.sim.rng streams")
+        else:
+            self._add("D002", node,
+                      f"{dotted}() draws from the process-global PRNG; "
+                      f"use a stream from repro.sim.rng instead")
 
-    @staticmethod
-    def _seed_derived(arg: ast.AST) -> bool:
-        """True when ``arg``'s value flows through a seed deriver."""
-        for node in ast.walk(arg):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else \
-                    func.id if isinstance(func, ast.Name) else None
-                if name in _SEED_DERIVERS:
-                    return True
-        return False
-
-    def visit_For(self, node: ast.For) -> None:
-        if self._is_unordered(node.iter):
-            schedules, accumulates = self._body_sinks(node.body)
-            if schedules:
-                self._add("D003", node,
-                          "iterating an unordered collection into the "
-                          "event kernel: same-timestamp event order "
-                          "would follow hash order — sort first")
-            elif accumulates:
-                self._add("D004", node,
-                          "accumulating over an unordered collection: "
-                          "float += order depends on hashing — sort "
-                          "first")
-        self.generic_visit(node)
+    # -- D005 ----------------------------------------------------------- #
 
     def _check_defaults(self, node) -> None:
         args = node.args
@@ -302,14 +155,12 @@ class _FileLinter(ast.NodeVisitor):
     def _visit_function(self, node) -> None:
         self._check_defaults(node)
         self._check_arg_units(node)
-        self.scopes.append(_Scope())
         self.generic_visit(node)
-        self.scopes.pop()
 
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
 
-    # -- U001 + set-name tracking -------------------------------------- #
+    # -- U001 ----------------------------------------------------------- #
 
     def _is_unit_expr(self, node: ast.AST) -> bool:
         """True when the expression multiplies by an ns-unit constant.
@@ -348,8 +199,7 @@ class _FileLinter(ast.NodeVisitor):
 
     def _check_arg_units(self, node) -> None:
         args = node.args
-        positional = args.posonlyargs + args.args if hasattr(
-            args, "posonlyargs") else args.args
+        positional = args.posonlyargs + args.args
         pos_defaults = args.defaults
         for arg, default in zip(positional[len(positional)
                                            - len(pos_defaults):],
@@ -361,62 +211,27 @@ class _FileLinter(ast.NodeVisitor):
                 self._check_unit_name(arg.arg, default)
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                if self._is_unordered(node.value):
-                    self.scopes[-1].set_names.add(target.id)
-                else:
-                    self.scopes[-1].set_names.discard(target.id)
-                if self._is_unit_expr(node.value):
+        if self._is_unit_expr(node.value):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
                     self._check_unit_name(target.id, node)
-            elif isinstance(target, ast.Attribute) and \
-                    self._is_unit_expr(node.value):
-                self._check_unit_name(target.attr, node)
+                elif isinstance(target, ast.Attribute):
+                    self._check_unit_name(target.attr, node)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None and isinstance(node.target, ast.Name):
-            if self._is_unordered(node.value):
-                self.scopes[-1].set_names.add(node.target.id)
-            if self._is_unit_expr(node.value):
-                self._check_unit_name(node.target.id, node)
+        if node.value is not None and isinstance(node.target, ast.Name) \
+                and self._is_unit_expr(node.value):
+            self._check_unit_name(node.target.id, node)
         self.generic_visit(node)
 
 
-# --------------------------------------------------------------------- #
-# Entry points
-# --------------------------------------------------------------------- #
+def check_module(module: ModuleInfo) -> List[Finding]:
+    """Run the syntactic rules over one indexed module's tree.
 
-def _perf_allowed(path: Path) -> bool:
-    posix = path.as_posix()
-    return any(posix.endswith(entry) for entry in PERF_COUNTER_ALLOWLIST)
-
-
-def lint_file(path: Path, rel_to: Optional[Path] = None) -> List[Finding]:
-    """Lint one file; returns findings (suppressions already applied)."""
-    display = str(path.relative_to(rel_to) if rel_to else path)
-    source = path.read_text()
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return [Finding(rule="P000", path=display,
-                        line=exc.lineno or 1, col=exc.offset or 0,
-                        message=f"syntax error: {exc.msg}")]
-    linter = _FileLinter(display, perf_allowed=_perf_allowed(path))
-    linter.visit(tree)
-    return apply_suppressions(linter.findings, source, display)
-
-
-def lint_paths(paths: Sequence[Path],
-               rel_to: Optional[Path] = None,
-               select: Optional[Iterable[str]] = None) -> LintReport:
-    """Lint files/directories; ``select`` restricts to those rule ids."""
-    files = iter_python_files(paths)
-    findings: List[Finding] = []
-    for path in files:
-        findings.extend(lint_file(path, rel_to=rel_to))
-    if select is not None:
-        wanted = set(select)
-        findings = [f for f in findings if f.rule in wanted]
-    findings.sort(key=Finding.sort_key)
-    return LintReport(findings=findings, files_scanned=len(files))
+    Findings come back unsuppressed; the caller applies the module's
+    pragmas once, together with the dataflow findings.
+    """
+    linter = _FileLinter(module)
+    linter.visit(module.tree)
+    return linter.findings

@@ -1,9 +1,9 @@
-"""Interprocedural flow engine: corpus, H-rules, gates, and mutations.
+"""Dataflow rules: corpus, H-rules, gates, and mutations.
 
-Mirrors the linter's corpus discipline: every ``bad_flow_*.py`` file
-must be flagged by exactly its rule (the intraprocedural linter misses
-all of them — that is the point), every clean counterpart comes back
-with no active finding, and a golden JSON pins the report format. The
+Mirrors the syntactic corpus discipline: every ``bad_flow_*.py`` file
+must be flagged by exactly its rule (each hazard crosses a function
+boundary), every clean counterpart comes back with no active finding,
+and a golden JSON pins the report format. The
 mutation tests are the acceptance proof: seeded edits to a copy of
 ``src/repro`` (a field deleted from the hash registry, a set routed
 through a helper into the kernel, a derived seed replaced by a
@@ -18,12 +18,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.common import count_debt, debt_regressions, \
+from repro.analysis.callgraph import ProjectIndex, build_index
+from repro.analysis.common import RULES, count_debt, debt_regressions, \
     load_debt_baseline
-from repro.analysis.flow import FLOW_RULES, analyze_paths
-from repro.analysis.lint import lint_file
+from repro.analysis.flow import (_MAX_PASSES, FlowEngine, Val,
+                                 analyze_paths)
 
 CORPUS = Path(__file__).parent / "corpus_flow"
+NESTED = Path(__file__).parent / "corpus_nested"
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src" / "repro"
 
@@ -54,19 +56,86 @@ def test_clean_counterpart_has_no_active_finding(rule):
     assert _active([path]) == [], f"{path.name} should be flow-clean"
 
 
-# D002 is excluded: the intraprocedural heuristic also fires on the
-# helper body (at a cruder location) — the flow engine's gain there is
-# precision at call sites, shown by clean_flow_d002, not pure recall.
-@pytest.mark.parametrize(
-    "filename", [f for f, r in sorted(BAD_CASES.items()) if r != "D002"])
-def test_intraprocedural_linter_misses_the_flow_cases(filename):
-    """The corpus earns its name: lint alone cannot see these."""
-    rule = BAD_CASES[filename]
-    lint_active = [f for f in lint_file(CORPUS / filename)
-                   if not f.suppressed and f.rule == rule]
-    assert lint_active == [], (
-        f"{filename} is visible to the intraprocedural linter; it "
-        f"does not demonstrate an interprocedural gap")
+def test_kernel_sinks_are_schedule_and_schedule_at_only(tmp_path):
+    """``.push`` on an unrelated object is not an event-kernel entry."""
+    path = tmp_path / "sinks.py"
+    path.write_text("def fill(heap, items):\n"
+                    "    for x in set(items):\n"
+                    "        heap.push(x)\n"
+                    "\n"
+                    "\n"
+                    "def wake(sim, items):\n"
+                    "    for x in set(items):\n"
+                    "        sim.schedule(0, x)\n")
+    assert [(f.rule, f.line) for f in _active([path])] == [("D003", 7)]
+
+
+@pytest.mark.parametrize("first,second", [("A()", "B()"), ("A", "B")],
+                         ids=["instances", "class-references"])
+def test_fixpoint_settles_when_an_attribute_holds_two_classes(
+        tmp_path, monkeypatch, first, second):
+    path = tmp_path / "holder.py"
+    path.write_text("class A:\n"
+                    "    pass\n"
+                    "\n"
+                    "\n"
+                    "class B:\n"
+                    "    pass\n"
+                    "\n"
+                    "\n"
+                    "class Holder:\n"
+                    "    def __init__(self):\n"
+                    f"        self.part = {first}\n"
+                    "\n"
+                    "    def swap(self):\n"
+                    f"        self.part = {second}\n")
+    passes = []
+    one_pass = FlowEngine._one_pass
+
+    def counting(self, report):
+        passes.append(report)
+        one_pass(self, report)
+
+    monkeypatch.setattr(FlowEngine, "_one_pass", counting)
+    analyze_paths([path])
+    assert len(passes) <= 3, f"{len(passes)} passes (cap {_MAX_PASSES})"
+
+
+@pytest.mark.parametrize("binding,first,second", [
+    ("cls", "m.A", "m.B"),
+    ("cls_ref", "m.A", "m.B"),
+    ("func", "m.f", "m.g"),
+    ("partial", ("m.f", 0), ("m.f", 1)),
+], ids=["cls", "cls_ref", "func", "partial"])
+def test_conflicting_attribute_binding_stays_unbound(binding, first,
+                                                     second):
+    engine = FlowEngine(ProjectIndex())
+    stores = [Val(**{binding: first}), Val(**{binding: second})]
+    for val in stores:
+        engine.store_attr("m.Holder", "part", val)
+    engine.changed = False
+    for val in stores:  # a later pass stores the same values again
+        engine.store_attr("m.Holder", "part", val)
+    assert not engine.changed
+    assert getattr(engine.attr_vals[("m.Holder", "part")],
+                   binding) is None
+
+
+def _flagged_lines(path):
+    return [n for n, line in enumerate(path.read_text().splitlines(), 1)
+            if line.rstrip().endswith("# flagged")]
+
+
+@pytest.mark.parametrize("rule", ["D002", "D003", "D004"])
+def test_nested_scopes_are_analyzed(rule):
+    """Defs under ``for``/``if``/``with``/``try`` (both sides of a
+    conditional redefinition), classes nested in functions or classes,
+    class bodies, defaults, decorators and lambda bodies are all
+    checked; the sorted/derived counterparts are clean."""
+    bad = NESTED / f"bad_nested_{rule.lower()}.py"
+    found = [(f.rule, f.line) for f in _active([bad])]
+    assert found == [(rule, line) for line in _flagged_lines(bad)]
+    assert _active([NESTED / f"clean_nested_{rule.lower()}.py"]) == []
 
 
 def test_constant_seed_passes_only_via_pragma():
@@ -108,7 +177,7 @@ def test_golden_json_report():
         (CORPUS / "golden_flow_report.json").read_text())
     assert json.loads(report.to_json()) == golden
     assert golden["version"] == 1
-    assert golden["rules"] == FLOW_RULES
+    assert golden["rules"] == RULES
     assert golden["summary"]["active"] == len(report.active())
 
 
@@ -126,7 +195,7 @@ def test_source_tree_debt_within_baseline():
     """The ratchet: suppression debt may only stay equal or drop."""
     baseline = load_debt_baseline(
         Path(__file__).parent / "debt_baseline.json")
-    debt = count_debt([SRC], rel_to=REPO)
+    debt = count_debt(build_index([SRC], rel_to=REPO))
     assert debt_regressions(debt, baseline) == []
 
 
@@ -209,7 +278,7 @@ def test_cli_flow_strict_gate(tmp_path):
     assert proc.returncode == 1, proc.stderr
     payload = json.loads(out.read_text())
     assert payload["summary"]["active"] == 1
-    assert payload["rules"] == FLOW_RULES
+    assert payload["rules"] == RULES
 
     proc = _run_cli("flow", "--strict",
                     str(CORPUS / "clean_flow_d003.py"))
@@ -247,7 +316,7 @@ def test_cli_lint_strict_folds_in_flow_findings():
     assert proc.returncode == 1, proc.stderr
     assert "D003" in proc.stdout
 
-    # Without --strict, lint alone cannot see the interprocedural bug.
+    # Without --strict the same findings are reported, informationally.
     proc = _run_cli("lint", str(CORPUS / "bad_flow_d003.py"))
     assert proc.returncode == 0, proc.stderr
-    assert "D003" not in proc.stdout
+    assert "D003" in proc.stdout

@@ -1,10 +1,11 @@
-"""Determinism linter: rule-by-rule corpus tests + golden report.
+"""Determinism rules: rule-by-rule corpus tests + golden report.
 
 Each ``bad_<rule>.py`` corpus file must be flagged by *exactly* its
 intended rule (no cross-talk between rules), and every
 ``clean_<rule>.py`` counterpart must come back with no active finding.
 The golden JSON test pins the machine-readable report format so CI
-consumers can rely on it.
+consumers can rely on it. Every case runs through the one engine entry
+point, :func:`repro.analysis.flow.analyze_paths`.
 """
 
 import json
@@ -14,10 +15,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import (PERF_COUNTER_ALLOWLIST, RULES, lint_file,
-                                 lint_paths)
+from repro.analysis.common import RULES
+from repro.analysis.flow import analyze_paths
+from repro.analysis.lint import PERF_COUNTER_ALLOWLIST
 
 CORPUS = Path(__file__).parent / "corpus"
+
+
+def lint_file(path):
+    """All findings for one file (suppressions applied)."""
+    return analyze_paths([path]).findings
+
 
 #: bad corpus file -> the one rule its active finding must carry.
 BAD_CASES = {
@@ -88,6 +96,30 @@ def test_import_aliases_resolved(tmp_path):
     assert sorted(f.rule for f in lint_file(path)) == ["D001", "D002"]
 
 
+def test_global_prng_seed_reported_once(tmp_path):
+    """Re-seeding a global PRNG is one D002, not a provenance one too."""
+    path = tmp_path / "reseed.py"
+    path.write_text("import random\n"
+                    "import numpy as np\n"
+                    "random.seed(42)\n"
+                    "np.random.seed(42)\n")
+    findings = lint_file(path)
+    assert [(f.rule, f.line) for f in findings] == [("D002", 3),
+                                                    ("D002", 4)]
+    assert all("global" in f.message for f in findings)
+
+
+def test_files_sharing_a_stem_are_each_checked(tmp_path):
+    for pkg in ("a", "b"):
+        (tmp_path / pkg).mkdir()
+        (tmp_path / pkg / "model.py").write_text(
+            "import time\nstamp = time.time()\n")
+    report = analyze_paths([tmp_path], rel_to=tmp_path)
+    assert report.files_scanned == 2
+    assert [f.path for f in report.findings] == ["a/model.py",
+                                                 "b/model.py"]
+
+
 def test_sum_over_set_expression(tmp_path):
     path = tmp_path / "sums.py"
     path.write_text("def f(xs):\n"
@@ -107,12 +139,12 @@ def test_syntax_error_reports_p000(tmp_path):
 
 
 def test_select_restricts_rules():
-    report = lint_paths([CORPUS], rel_to=CORPUS, select={"D001"})
+    report = analyze_paths([CORPUS], rel_to=CORPUS, select={"D001"})
     assert {f.rule for f in report.findings} == {"D001"}
 
 
 def test_golden_json_report():
-    report = lint_paths([CORPUS], rel_to=CORPUS)
+    report = analyze_paths([CORPUS], rel_to=CORPUS)
     golden = json.loads((CORPUS / "golden_report.json").read_text())
     assert json.loads(report.to_json()) == golden
     assert golden["version"] == 1
@@ -123,7 +155,7 @@ def test_golden_json_report():
 def test_source_tree_is_lint_clean():
     """The CI gate, as a unit test: src/repro has no active findings."""
     src = Path(__file__).resolve().parents[2] / "src" / "repro"
-    report = lint_paths([src], rel_to=src.parent)
+    report = analyze_paths([src], rel_to=src.parent)
     assert report.active() == [], report.render_text()
 
 
